@@ -20,7 +20,7 @@ namespace {
 
 // Second ablation: the collector -> aggregator publish-batch size. Runs
 // the real threaded pipeline (collectors, aggregator, consumer over the
-// bus) against a pre-filled changelog and reports delivered events/s
+// in-process transport) against a pre-filled changelog and reports delivered events/s
 // plus wire bytes per event, both straight from the metrics registry.
 void publish_batch_sweep() {
   bench::banner("Ablation: collector publish-batch size (threaded pipeline)");

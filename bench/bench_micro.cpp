@@ -1,6 +1,6 @@
 // Google-benchmark micro-benchmarks for the hot-path primitives: the
 // fid2path LRU cache, the bounded queue, Algorithm 1 processing, event
-// serialization, and pub/sub publishing.
+// serialization, and in-process transport sends.
 #include <filesystem>
 
 #include <benchmark/benchmark.h>
@@ -10,9 +10,9 @@
 #include "src/common/random.hpp"
 #include "src/common/spsc_ring.hpp"
 #include "src/core/event.hpp"
-#include "src/msgq/pubsub.hpp"
 #include "src/eventstore/store.hpp"
 #include "src/scalable/processor.hpp"
+#include "src/transport/inproc.hpp"
 
 namespace {
 
@@ -76,34 +76,34 @@ void BM_EventSerializeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_EventSerializeRoundTrip);
 
-void BM_PubSubPublish(benchmark::State& state) {
-  msgq::Bus bus;
-  auto pub = bus.make_publisher("p");
-  auto sub = bus.make_subscriber("s", 1 << 20, common::OverflowPolicy::kDropNewest);
-  sub->subscribe("");
-  pub->connect(sub);
+void BM_InProcSend(benchmark::State& state) {
+  transport::InProcTransport transport;
+  auto sender = transport.make_sender("p");
+  auto receiver = transport.make_receiver("s", 1 << 20, common::OverflowPolicy::kDropNewest);
+  receiver->subscribe("");
+  sender->connect(receiver);
   for (auto _ : state) {
-    pub->publish("fsmon/mdt0", "payload");
-    if (sub->pending() > (1u << 19)) {
+    sender->send("fsmon/mdt0", transport::FrameRef::adopt(std::string("payload")));
+    if (receiver->pending() > (1u << 19)) {
       state.PauseTiming();
-      while (sub->try_recv()) {
+      while (receiver->try_recv()) {
       }
       state.ResumeTiming();
     }
   }
 }
-BENCHMARK(BM_PubSubPublish);
+BENCHMARK(BM_InProcSend);
 
 void BM_BatchedHop(benchmark::State& state) {
-  // One serialize->publish->recv->deserialize hop, as the collector ->
-  // aggregator edge does it, at varying publish-batch sizes. Items are
-  // events, so events/s is directly comparable across batch sizes.
+  // One serialize->copy->send->recv->deserialize hop, the copy-per-hop
+  // collector -> aggregator edge, at varying publish-batch sizes. Items
+  // are events, so events/s is directly comparable across batch sizes.
   const auto batch_size = static_cast<std::size_t>(state.range(0));
-  msgq::Bus bus;
-  auto pub = bus.make_publisher("p");
-  auto sub = bus.make_subscriber("s", 1 << 16, common::OverflowPolicy::kDropNewest);
-  sub->subscribe("");
-  pub->connect(sub);
+  transport::InProcTransport transport;
+  auto sender = transport.make_sender("p");
+  auto receiver = transport.make_receiver("s", 1 << 16, common::OverflowPolicy::kDropNewest);
+  receiver->subscribe("");
+  sender->connect(receiver);
   core::StdEvent event;
   event.kind = core::EventKind::kCreate;
   event.watch_root = "/mnt/lustre";
@@ -118,12 +118,9 @@ void BM_BatchedHop(benchmark::State& state) {
   for (auto _ : state) {
     frame.clear();
     core::encode_batch(batch, frame);
-    pub->publish("fsmon/mdt0",
-                 std::string(reinterpret_cast<const char*>(frame.data()),
-                             frame.size()));
-    auto message = sub->try_recv();
-    auto decoded = core::decode_batch(
-        std::as_bytes(std::span<const char>(message->payload)));
+    sender->send("fsmon/mdt0", transport::FrameRef::copy(frame));
+    auto message = receiver->try_recv();
+    auto decoded = core::decode_batch(message->payload.bytes());
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -11,6 +11,7 @@
 #include "bench/bench_util.hpp"
 #include "src/scalable/scalable_monitor.hpp"
 #include "src/scalable/sim_driver.hpp"
+#include "src/transport/inproc.hpp"
 
 using namespace fsmon;
 
@@ -37,11 +38,11 @@ SweepResult run_sweep_config(std::size_t resolver_threads, std::size_t cache_siz
   constexpr int kTriples = 1200;
   common::RealClock clock;
   lustre::LustreFs fs(lustre::LustreFsOptions{}, clock);
-  msgq::Bus bus;
-  auto inbox = bus.make_subscriber("inbox", 1 << 16);
+  transport::InProcTransport transport;
+  auto inbox = transport.make_receiver("inbox", 1 << 16);
   inbox->subscribe("");
-  auto publisher = bus.make_publisher("pub");
-  publisher->connect(inbox);
+  auto sender = transport.make_sender("pub");
+  sender->connect(inbox);
 
   obs::MetricsRegistry registry;
   scalable::CollectorOptions options;
@@ -51,7 +52,7 @@ SweepResult run_sweep_config(std::size_t resolver_threads, std::size_t cache_siz
   options.resolver.base_cost = std::chrono::microseconds(150);
   options.resolver.per_component_cost = std::chrono::microseconds(5);
   options.metrics = &registry;
-  scalable::Collector collector(fs, 0, publisher, options, clock);
+  scalable::Collector collector(fs, 0, sender, options, clock);
 
   for (int i = 0; i < kTriples; ++i) {
     const std::string f = "/f" + std::to_string(i);
@@ -70,8 +71,7 @@ SweepResult run_sweep_config(std::size_t resolver_threads, std::size_t cache_siz
   result.cache_size = cache_size;
   result.seconds = std::chrono::duration<double>(elapsed).count();
   while (auto message = inbox->try_recv()) {
-    auto batch = core::decode_batch(
-        std::as_bytes(std::span(message->payload.data(), message->payload.size())));
+    auto batch = core::decode_batch(message->payload.bytes());
     if (!batch.is_ok()) continue;
     for (auto& event : batch.value().events) {
       // Timestamps are real wall-clock instants of this run's fs ops, so

@@ -1,11 +1,11 @@
 // Transport hop bench: the zero-copy FrameRef hop against the historic
-// copy-per-hop pub/sub string hop (the BM_BatchedHop loop from
-// bench_micro, reproduced here as the baseline).
+// copy-per-hop hop (the BM_BatchedHop loop from bench_micro, reproduced
+// here as the baseline).
 //
-// The baseline pays the pre-refactor pipeline's per-hop tax: build a
-// std::string from the encoded frame, publish it (the bus copies the
-// payload into the subscriber queue), and decode_batch on the receive
-// side materializes every event. The transport hop is what the stages
+// The baseline pays the pre-refactor pipeline's per-hop tax on the same
+// in-process carrier: copy the encoded frame into a fresh payload
+// (FrameRef::copy), send it, and decode_batch on the receive side
+// materializes every event. The transport hop is what the stages
 // actually do now: adopt the encoded buffer into a FrameRef (a move),
 // send it (refcount bump / one ring write / scatter-gather writev), and
 // view_batch the received bytes in place — one CRC verify at ingress
@@ -28,7 +28,6 @@
 
 #include "bench/bench_util.hpp"
 #include "src/core/event.hpp"
-#include "src/msgq/pubsub.hpp"
 #include "src/transport/inproc.hpp"
 #include "src/transport/shm.hpp"
 #include "src/transport/tcp.hpp"
@@ -76,14 +75,14 @@ std::size_t iterations_for(std::size_t batch_size) {
   return std::min<std::size_t>(kEventsPerRun / batch_size, 1 << 16);
 }
 
-/// The BM_BatchedHop loop: encode, publish a copied string payload,
-/// receive, decode every event. One hop of the pre-transport pipeline.
+/// The BM_BatchedHop loop: encode, send a copied payload, receive,
+/// decode every event. One hop of the pre-transport pipeline.
 HopResult run_baseline(std::size_t batch_size) {
-  msgq::Bus bus;
-  auto pub = bus.make_publisher("p");
-  auto sub = bus.make_subscriber("s", 1 << 16, common::OverflowPolicy::kDropNewest);
-  sub->subscribe("");
-  pub->connect(sub);
+  transport::InProcTransport transport;
+  auto sender = transport.make_sender("p");
+  auto receiver = transport.make_receiver("s", 1 << 16, common::OverflowPolicy::kDropNewest);
+  receiver->subscribe("");
+  sender->connect(receiver);
   const core::EventBatch batch = make_batch(batch_size);
   const std::size_t iters = iterations_for(batch_size);
 
@@ -93,17 +92,15 @@ HopResult run_baseline(std::size_t batch_size) {
   for (std::size_t i = 0; i < iters; ++i) {
     frame.clear();
     core::encode_batch(batch, frame);
-    pub->publish("fsmon/mdt0",
-                 std::string(reinterpret_cast<const char*>(frame.data()), frame.size()));
-    auto message = sub->try_recv();
-    auto decoded = core::decode_batch(
-        std::as_bytes(std::span<const char>(message->payload)));
+    sender->send("fsmon/mdt0", transport::FrameRef::copy(frame));
+    auto message = receiver->try_recv();
+    auto decoded = core::decode_batch(message->payload.bytes());
     sink += decoded.value().events.size();
   }
   const auto done = std::chrono::steady_clock::now();
 
   HopResult result;
-  result.mode = "msgq-copy";
+  result.mode = "copy";
   result.batch = batch_size;
   result.events = sink;
   result.wall_ms = std::chrono::duration<double, std::milli>(done - start).count();
@@ -176,8 +173,7 @@ int main() {
     results.push_back(std::move(r));
   }
   {
-    msgq::Bus bus;
-    transport::InProcTransport inproc(bus);
+    transport::InProcTransport inproc;
     for (const std::size_t b : batches) results.push_back(run_transport(inproc, "inproc", b));
     transport::ShmTransport shm;
     for (const std::size_t b : batches) results.push_back(run_transport(shm, "shm", b));

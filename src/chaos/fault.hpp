@@ -1,8 +1,8 @@
 // Deterministic, seeded fault injection for crash-recovery testing.
 //
 // Pipeline stages name the places where a real deployment can fail —
-// "collector.before_clear", "wal.torn_write", "tcp.drop" — and consult the
-// process-wide FaultInjector at each one. A test arms the injector with a
+// "collector.before_clear", "wal.torn_write", "transport.before_send" — and
+// consult the process-wide FaultInjector at each one. A test arms the injector with a
 // FaultPlan (a seed plus a list of rules); production code pays only a single
 // relaxed atomic load per fault point while disarmed, and compiling with
 // FSMON_DISABLE_FAULT_INJECTION removes even that.

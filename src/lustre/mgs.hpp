@@ -17,7 +17,7 @@ namespace fsmon::lustre {
 struct ServiceRecord {
   std::string name;      ///< e.g. "MDS0", "collector-2"
   std::string kind;      ///< "mds", "oss", "collector", "aggregator", ...
-  std::string endpoint;  ///< transport address (msgq topic or host:port)
+  std::string endpoint;  ///< transport endpoint, "<carrier>://<name>"
 };
 
 class Mgs {

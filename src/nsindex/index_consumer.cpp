@@ -31,10 +31,9 @@ Result<std::size_t> fold_namespace(scalable::ShardedAggregator& aggregator,
   return folded;
 }
 
-IndexConsumer::IndexConsumer(msgq::Bus& bus, scalable::ShardedAggregator& aggregator,
-                             std::string name, IndexConsumerOptions options)
-    : bus_(bus),
-      aggregator_(aggregator),
+IndexConsumer::IndexConsumer(scalable::ShardedAggregator& aggregator, std::string name,
+                             IndexConsumerOptions options)
+    : aggregator_(aggregator),
       name_(std::move(name)),
       options_(std::move(options)),
       index_([&] {
@@ -76,7 +75,7 @@ Status IndexConsumer::start() {
   copts.metrics = options_.metrics;
   copts.hub = options_.hub;
   consumer_ = std::make_unique<scalable::Consumer>(
-      bus_, aggregator_, name_, std::move(copts),
+      aggregator_, name_, std::move(copts),
       scalable::Consumer::BatchCallback(
           [this](const core::EventBatch& batch) { on_batch(batch); }));
   consumer_->acknowledge_processed(snapshot_cursor);

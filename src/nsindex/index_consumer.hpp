@@ -70,8 +70,8 @@ common::Result<std::size_t> fold_namespace(scalable::ShardedAggregator& aggregat
 
 class IndexConsumer {
  public:
-  IndexConsumer(msgq::Bus& bus, scalable::ShardedAggregator& aggregator,
-                std::string name, IndexConsumerOptions options);
+  IndexConsumer(scalable::ShardedAggregator& aggregator, std::string name,
+                IndexConsumerOptions options);
   ~IndexConsumer();
 
   IndexConsumer(const IndexConsumer&) = delete;
@@ -108,7 +108,6 @@ class IndexConsumer {
   void apply_or_stash(std::size_t shard, const core::StdEvent& event);
   void repair_loop(std::stop_token stop);
 
-  msgq::Bus& bus_;
   scalable::ShardedAggregator& aggregator_;
   std::string name_;
   IndexConsumerOptions options_;

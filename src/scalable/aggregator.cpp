@@ -12,10 +12,8 @@ namespace fsmon::scalable {
 using common::Result;
 using common::Status;
 
-Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions options,
-                       common::Clock& clock)
-    : bus_(bus),
-      name_(std::move(name)),
+Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Clock& clock)
+    : name_(std::move(name)),
       options_(std::move(options)),
       clock_(clock),
       persist_queue_(options_.persist_queue_capacity),
@@ -23,7 +21,7 @@ Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions optio
   if (options_.transport != nullptr) {
     transport_ = options_.transport;
   } else {
-    owned_transport_ = std::make_unique<transport::InProcTransport>(bus_);
+    owned_transport_ = std::make_unique<transport::InProcTransport>();
     transport_ = owned_transport_.get();
   }
   input_ = transport_->make_receiver(name_ + "/inbox", options_.inbox_high_water_mark,
@@ -96,16 +94,6 @@ Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions optio
 }
 
 Aggregator::~Aggregator() { stop(); }
-
-std::shared_ptr<msgq::Subscriber> Aggregator::inbox() const {
-  auto inproc = std::dynamic_pointer_cast<transport::InProcReceiver>(input_);
-  return inproc == nullptr ? nullptr : inproc->subscriber();
-}
-
-std::shared_ptr<msgq::Publisher> Aggregator::output() const {
-  auto inproc = std::dynamic_pointer_cast<transport::InProcSender>(output_);
-  return inproc == nullptr ? nullptr : inproc->publisher();
-}
 
 Status Aggregator::start() {
   if (running_.load()) return Status::ok();

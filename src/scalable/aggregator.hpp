@@ -11,8 +11,7 @@
 // arrive on a Receiver and fan out through a Sender as immutable
 // ref-counted FrameRefs, so the aggregator never copies the encoded
 // batch — id patching happens in place and the persister shares the
-// published bytes. By default the aggregator owns an InProcTransport
-// over the bus it was given (byte-for-byte the historic topology);
+// published bytes. By default the aggregator owns an InProcTransport;
 // injecting AggregatorOptions::transport rebases the same pipeline onto
 // shared-memory rings or TCP without the stage noticing.
 //
@@ -39,7 +38,6 @@
 #include "src/common/rate_meter.hpp"
 #include "src/core/event.hpp"
 #include "src/eventstore/store.hpp"
-#include "src/msgq/pubsub.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/transport/transport.hpp"
 
@@ -51,9 +49,8 @@ struct AggregatorOptions {
   /// Topic the aggregator publishes resolved events under.
   std::string output_topic = "fsmon/events";
   /// Transport the input/output endpoints are created on. Null (default)
-  /// makes the aggregator own an InProcTransport over its bus — the
-  /// historic in-process topology. The pointer must outlive the
-  /// aggregator.
+  /// makes the aggregator own an InProcTransport. The pointer must
+  /// outlive the aggregator.
   transport::Transport* transport = nullptr;
   /// Reliable store configuration; nullopt disables fault tolerance.
   std::optional<eventstore::EventStoreOptions> store;
@@ -117,8 +114,7 @@ class Aggregator {
   using NackCallback = std::function<void(std::string_view source,
                                           std::uint64_t watermark)>;
 
-  Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions options,
-             common::Clock& clock);
+  Aggregator(std::string name, AggregatorOptions options, common::Clock& clock);
   ~Aggregator();
 
   Aggregator(const Aggregator&) = delete;
@@ -152,20 +148,16 @@ class Aggregator {
 
   /// Transport this aggregator's endpoints live on.
   transport::Transport& transport() { return *transport_; }
-  /// Fan-in receiver — the shard router's senders connect here.
+  /// Fan-in receiver — the shard router's senders connect here (and so
+  /// can any other sender made on transport()).
   const std::shared_ptr<transport::Receiver>& input() const { return input_; }
-  /// Connect a downstream receiver (consumer, bridge tap) to the output.
+  /// Connect a downstream receiver (consumer, fan-out hub) to the output.
   void connect_output(const std::shared_ptr<transport::Receiver>& receiver) {
     output_->connect(receiver);
     if (fanout_receivers_gauge_ != nullptr)
       fanout_receivers_gauge_->set(
           static_cast<std::int64_t>(output_->receiver_count()));
   }
-
-  /// Bus-compat splice points (in-proc transport only; null otherwise).
-  /// Tests use these to wire rogue publishers straight into the inbox.
-  std::shared_ptr<msgq::Subscriber> inbox() const;
-  std::shared_ptr<msgq::Publisher> output() const;
 
   /// Historic replay from the reliable store (consumer fault recovery).
   common::Result<std::vector<core::StdEvent>> events_since(
@@ -215,7 +207,6 @@ class Aggregator {
   void ack(std::string_view source, std::uint64_t record_index);
   void rebuild_accepted_from_store();
 
-  msgq::Bus& bus_;
   std::string name_;
   AggregatorOptions options_;
   common::Clock& clock_;

@@ -5,7 +5,6 @@
 #include "src/chaos/fault.hpp"
 #include "src/common/logging.hpp"
 #include "src/scalable/shard_router.hpp"
-#include "src/transport/inproc.hpp"
 
 namespace fsmon::scalable {
 
@@ -23,13 +22,6 @@ std::size_t shard_count_for(std::size_t threads) {
 }
 
 }  // namespace
-
-Collector::Collector(lustre::LustreFs& fs, std::uint32_t mds_index,
-                     std::shared_ptr<msgq::Publisher> publisher, CollectorOptions options,
-                     common::Clock& clock)
-    : Collector(fs, mds_index,
-                std::make_shared<transport::InProcSender>(std::move(publisher)),
-                std::move(options), clock) {}
 
 Collector::Collector(lustre::LustreFs& fs, std::uint32_t mds_index,
                      std::shared_ptr<transport::Sender> sender, CollectorOptions options,

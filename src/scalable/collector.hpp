@@ -2,8 +2,8 @@
 //
 // Registers a changelog user on its MDS, reads records in batches,
 // processes them through Algorithm 1 (EventProcessor + LRU fid2path
-// cache), publishes the resolved events to the aggregator through the
-// pub/sub queue, and purges the changelog up to the *acknowledged*
+// cache), publishes the resolved events to the aggregator through its
+// transport sender, and purges the changelog up to the *acknowledged*
 // record: the aggregator acks each MDT's watermark once the events are
 // durably in its custody, and only then does the collector issue
 // changelog_clear ("a pointer is maintained to the most recently
@@ -30,7 +30,6 @@
 #include "src/common/thread_pool.hpp"
 #include "src/lustre/filesystem.hpp"
 #include "src/lustre/profiles.hpp"
-#include "src/msgq/pubsub.hpp"
 #include "src/scalable/clear_guard.hpp"
 #include "src/scalable/processor.hpp"
 #include "src/scalable/reorder_buffer.hpp"
@@ -70,15 +69,10 @@ struct CollectorOptions {
 
 class Collector {
  public:
-  /// Transport-agnostic form: the collector publishes through `sender`
-  /// and never learns which transport (in-proc bus, shm ring, TCP) the
-  /// hop rides on.
+  /// The collector publishes through `sender` and never learns which
+  /// transport (in-proc queue, shm ring, TCP) the hop rides on.
   Collector(lustre::LustreFs& fs, std::uint32_t mds_index,
             std::shared_ptr<transport::Sender> sender, CollectorOptions options,
-            common::Clock& clock);
-  /// Bus compat: wraps the publisher in an InProcSender.
-  Collector(lustre::LustreFs& fs, std::uint32_t mds_index,
-            std::shared_ptr<msgq::Publisher> publisher, CollectorOptions options,
             common::Clock& clock);
   ~Collector();
 
@@ -89,10 +83,10 @@ class Collector {
   void stop();
   bool running() const { return running_.load(); }
 
-  /// Publish through a shard router instead of the raw publisher: each
+  /// Publish through a shard router instead of the raw sender: each
   /// frame is routed (synchronously, on this collector's thread) to the
   /// aggregator shard owning its source, preserving the refused-publish
-  /// rewind signal. Null (default) keeps the direct publisher path.
+  /// rewind signal. Null (default) keeps the direct sender path.
   /// Not thread-safe; set before start().
   void set_router(ShardRouter* router) { router_ = router; }
 

@@ -9,32 +9,27 @@ namespace fsmon::scalable {
 using common::Result;
 using common::Status;
 
-Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-                   ConsumerOptions options, EventCallback callback)
-    : Consumer(bus, aggregator, std::move(name), std::move(options), std::move(callback),
+Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+                   EventCallback callback)
+    : Consumer(aggregator, std::move(name), std::move(options), std::move(callback),
                BatchCallback{}) {}
 
-Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-                   ConsumerOptions options, BatchCallback callback)
-    : Consumer(bus, aggregator, std::move(name), std::move(options), EventCallback{},
+Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+                   BatchCallback callback)
+    : Consumer(aggregator, std::move(name), std::move(options), EventCallback{},
                std::move(callback)) {}
 
-Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-                   ConsumerOptions options, EventCallback callback,
-                   BatchCallback batch_callback)
-    : bus_(bus),
-      aggregator_(aggregator),
+Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+                   EventCallback callback, BatchCallback batch_callback)
+    : aggregator_(aggregator),
       name_(std::move(name)),
       options_(std::move(options)),
       callback_(std::move(callback)),
       batch_callback_(std::move(batch_callback)),
       receiver_(options.hub != nullptr
                     ? nullptr
-                    : aggregator.transport().make_receiver(
-                          name_, options.high_water_mark,
-                          options.overflow_policy == common::OverflowPolicy::kDropNewest
-                              ? transport::OverflowPolicy::kDropNewest
-                              : transport::OverflowPolicy::kBlock)),
+                    : aggregator.transport().make_receiver(name_, options.high_water_mark,
+                                                           options.overflow_policy)),
       seen_(aggregator.shard_count()),
       acked_(aggregator.shard_count()),
       ack_floor_(aggregator.shard_count()) {

@@ -74,13 +74,13 @@ class Consumer {
   using EventCallback = std::function<void(const core::StdEvent&)>;
   using BatchCallback = std::function<void(const core::EventBatch&)>;
 
-  Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-           ConsumerOptions options, EventCallback callback);
+  Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+           EventCallback callback);
   /// Batch-aware variant: the callback is invoked once per received
   /// batch with only the events that pass this consumer's filter. The
   /// per-event constructor is a shim over the same batched path.
-  Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-           ConsumerOptions options, BatchCallback callback);
+  Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+           BatchCallback callback);
   ~Consumer();
 
   Consumer(const Consumer&) = delete;
@@ -146,8 +146,8 @@ class Consumer {
   bool evicted() const { return evicted_.load(); }
 
  private:
-  Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-           ConsumerOptions options, EventCallback callback, BatchCallback batch_callback);
+  Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+           EventCallback callback, BatchCallback batch_callback);
 
   void run(std::stop_token stop);
   /// Hub-mode worker loop: pops hub items, delivers matched batches, and
@@ -180,7 +180,6 @@ class Consumer {
   /// the hub (min-ack + credit replenish) or straight to the aggregator.
   void maybe_ack_locked();
 
-  msgq::Bus& bus_;
   ShardedAggregator& aggregator_;
   std::string name_;
   ConsumerOptions options_;

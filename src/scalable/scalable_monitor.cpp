@@ -31,21 +31,24 @@ ScalableMonitor::ScalableMonitor(lustre::LustreFs& fs, ScalableMonitorOptions op
   sharded_options.shards = options_.shards;
   sharded_options.transport = options_.transport;
   sharded_options.aggregator = options_.aggregator;
-  sharded_ = std::make_unique<ShardedAggregator>(bus_, "aggregator",
-                                                 std::move(sharded_options), clock_);
+  sharded_ = std::make_unique<ShardedAggregator>("aggregator", std::move(sharded_options),
+                                                 clock_);
+  // MGS service records name each stage's transport endpoint.
+  const std::string scheme =
+      std::string(transport::to_string(sharded_->transport().kind())) + "://";
   for (std::uint32_t i = 0; i < fs_.mdt_count(); ++i) {
     // Collectors publish through the shard router (which owns the
     // per-shard sender connections); the per-collector sender lives on
     // the tier's transport but carries no direct receivers.
     auto sender = sharded_->transport().make_sender(
         options_.collector.topic_prefix + "collector" + std::to_string(i));
+    fs_.mgs().register_service(
+        {"collector-" + std::to_string(i), "collector", scheme + sender->name()});
     collectors_.push_back(
         std::make_unique<Collector>(fs_, i, std::move(sender), options_.collector, clock_));
     collectors_.back()->set_router(&sharded_->router());
-    fs_.mgs().register_service(
-        {"collector-" + std::to_string(i), "collector", "msgq://collector" + std::to_string(i)});
   }
-  fs_.mgs().register_service({"aggregator", "aggregator", "msgq://aggregator"});
+  fs_.mgs().register_service({"aggregator", "aggregator", scheme + "aggregator"});
   // Durable-custody acks flow back here: demux the event source
   // ("lustre:MDT<i>") to the owning collector, which clears its
   // changelog up to the acked record index.
@@ -93,7 +96,7 @@ std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
                                                          ConsumerOptions options,
                                                          Consumer::EventCallback callback) {
   if (hub_ != nullptr && options.hub == nullptr) options.hub = hub_.get();
-  auto consumer = std::make_unique<Consumer>(bus_, *sharded_, std::move(name),
+  auto consumer = std::make_unique<Consumer>(*sharded_, std::move(name),
                                              std::move(options), std::move(callback));
   if (running_) consumer->start();
   return consumer;
@@ -103,7 +106,7 @@ std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
                                                          ConsumerOptions options,
                                                          Consumer::BatchCallback callback) {
   if (hub_ != nullptr && options.hub == nullptr) options.hub = hub_.get();
-  auto consumer = std::make_unique<Consumer>(bus_, *sharded_, std::move(name),
+  auto consumer = std::make_unique<Consumer>(*sharded_, std::move(name),
                                              std::move(options), std::move(callback));
   if (running_) consumer->start();
   return consumer;

@@ -1,7 +1,7 @@
 // ScalableMonitor: the assembled scalable Lustre DSI (paper Figure 4).
 //
 // Wires one Collector per MDS, the Aggregator on the MGS, and any number
-// of Consumers over the pub/sub bus. Also provides ScalableDsi, the
+// of Consumers over one transport. Also provides ScalableDsi, the
 // core::DsiBase adapter that lets the FsMonitor facade treat an entire
 // Lustre deployment as just another storage backend (scheme "lustre").
 #pragma once
@@ -25,7 +25,7 @@ struct ScalableMonitorOptions {
   std::size_t shards = 1;
   /// Transport every pipeline hop rides on (collector senders, shard
   /// inboxes/outputs, consumer receivers). Null (default) = in-process
-  /// over the monitor's bus. Must outlive the monitor.
+  /// (the tier owns an InProcTransport). Must outlive the monitor.
   transport::Transport* transport = nullptr;
   /// Create a FanOutHub on the aggregator tier and subscribe every
   /// make_consumer() through it: one shared receiver, one decode and one
@@ -61,7 +61,6 @@ class ScalableMonitor {
   FanOutHub* hub() { return hub_.get(); }
   Collector& collector(std::size_t i) { return *collectors_.at(i); }
   std::size_t collector_count() const { return collectors_.size(); }
-  msgq::Bus& bus() { return bus_; }
 
   /// Synchronously pump every collector once (deterministic tests):
   /// collectors publish, the aggregator is drained (when not running) so
@@ -100,7 +99,6 @@ class ScalableMonitor {
   lustre::LustreFs& fs_;
   ScalableMonitorOptions options_;
   common::Clock& clock_;
-  msgq::Bus bus_;
   std::unique_ptr<ShardedAggregator> sharded_;
   std::unique_ptr<FanOutHub> hub_;
   std::vector<std::unique_ptr<Collector>> collectors_;

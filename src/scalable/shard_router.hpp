@@ -11,7 +11,7 @@
 //
 // The router is transport-agnostic: it holds one pre-connected
 // transport::Sender per shard and never learns whether the hop is the
-// in-process bus, a shared-memory ring, or a TCP link. Frames travel as
+// in-process queue, a shared-memory ring, or a TCP link. Frames travel as
 // immutable FrameRefs, so routing is a refcount bump, never a copy.
 //
 // Routing key: the frame's event source (all events in a frame share
@@ -31,7 +31,7 @@
 
 namespace fsmon::scalable {
 
-/// Outcome of routing one frame, shaped like the raw publisher call the
+/// Outcome of routing one frame, shaped like the raw sender call the
 /// collector used to make: `accepted == 0 && subscribers > 0` is the
 /// refusal signal that triggers a collector rewind.
 struct RouteResult {
@@ -58,11 +58,6 @@ class ShardRouter {
   /// rewinds and replays contiguously — never a silent loss), delay
   /// stalls the publishing collector thread.
   RouteResult route(const std::string& topic, transport::FrameRef frame);
-  /// String compat shim (tests exercise the router with raw payloads):
-  /// adopts the string — a move, not a counted copy.
-  RouteResult route(const std::string& topic, std::string payload) {
-    return route(topic, transport::FrameRef::adopt(std::move(payload)));
-  }
 
   const ShardMap& map() const { return map_; }
   std::uint64_t frames_routed() const { return frames_.load(); }

@@ -7,14 +7,14 @@ namespace fsmon::scalable {
 using common::Result;
 using common::Status;
 
-ShardedAggregator::ShardedAggregator(msgq::Bus& bus, const std::string& name,
+ShardedAggregator::ShardedAggregator(const std::string& name,
                                      ShardedAggregatorOptions options,
                                      common::Clock& clock)
     : map_(options.shards) {
   if (options.transport != nullptr) {
     transport_ = options.transport;
   } else {
-    owned_transport_ = std::make_unique<transport::InProcTransport>(bus);
+    owned_transport_ = std::make_unique<transport::InProcTransport>();
     transport_ = owned_transport_.get();
   }
   if (options.aggregator.metrics != nullptr)
@@ -36,8 +36,8 @@ ShardedAggregator::ShardedAggregator(msgq::Bus& bus, const std::string& name,
       shard_options.fault_scope = "aggregator." + suffix + ".";
     }
     topics_.push_back(shard_options.output_topic);
-    shards_.push_back(std::make_unique<Aggregator>(bus, std::move(shard_name),
-                                                   std::move(shard_options), clock));
+    shards_.push_back(
+        std::make_unique<Aggregator>(std::move(shard_name), std::move(shard_options), clock));
   }
   // One router sender per shard, wired straight to that shard's fan-in
   // receiver. The router hands each frame to exactly one of these; the

@@ -5,8 +5,8 @@
 // persist thread and per-source dedup watermarks — behind one
 // ShardRouter that assigns every collector frame to exactly one shard
 // by event source (see shard_map.hpp). With shards == 1 the tier is
-// byte-for-byte the old single aggregator: same bus names, same output
-// topic, same store directory, no metric labels, no scoped fault
+// byte-for-byte the old single aggregator: same endpoint names, same
+// output topic, same store directory, no metric labels, no scoped fault
 // points.
 //
 // Event ids are per-shard: each shard assigns its own dense 1,2,3,...
@@ -35,7 +35,7 @@ struct ShardedAggregatorOptions {
   std::size_t shards = 1;
   /// Transport every stage boundary of the tier rides on (router->shard
   /// senders, shard inboxes and outputs). Null (default) makes the tier
-  /// own an InProcTransport over its bus. Must outlive the tier.
+  /// own an InProcTransport. Must outlive the tier.
   transport::Transport* transport = nullptr;
   /// Template applied to every shard. Per-shard derivations: the store
   /// directory gains a "shard<k>" suffix, the output topic a "/shard<k>"
@@ -46,8 +46,8 @@ struct ShardedAggregatorOptions {
 
 class ShardedAggregator {
  public:
-  ShardedAggregator(msgq::Bus& bus, const std::string& name,
-                    ShardedAggregatorOptions options, common::Clock& clock);
+  ShardedAggregator(const std::string& name, ShardedAggregatorOptions options,
+                    common::Clock& clock);
 
   ShardedAggregator(const ShardedAggregator&) = delete;
   ShardedAggregator& operator=(const ShardedAggregator&) = delete;

@@ -154,15 +154,7 @@ std::size_t RetentionFileset::expire() {
 GpfsCluster::GpfsCluster(GpfsClusterOptions options, common::Clock& clock)
     : options_(std::move(options)),
       clock_(clock),
-      fileset_(clock, options_.retention_period) {
-  sink_ = bus_.make_subscriber("fal-sink", 1 << 16);
-  sink_->subscribe("");  // the sink consumes every node's audit topic
-  for (std::uint32_t i = 0; i < options_.node_count; ++i) {
-    auto publisher = bus_.make_publisher("node" + std::to_string(i));
-    publisher->connect(sink_);
-    node_publishers_.push_back(std::move(publisher));
-  }
-}
+      fileset_(clock, options_.retention_period) {}
 
 bool GpfsCluster::exists(const std::string& path) const {
   return entries_.count(common::normalize_path(path)) != 0;
@@ -182,11 +174,11 @@ Status GpfsCluster::emit(AuditEventType type, const std::string& path,
     record.inode = it->second.inode;
     record.is_dir = it->second.is_dir;
   }
-  // Locally generated events go out via the generating node's publisher.
+  // Locally generated events go out via the generating node.
   const std::uint32_t node = next_node_;
   next_node_ = (next_node_ + 1) % options_.node_count;
   record.node = "protocol-node-" + std::to_string(node);
-  node_publishers_[node]->publish("fal/" + record.node, record.to_json());
+  queue_.push(record.to_json());
   return Status::ok();
 }
 
@@ -269,8 +261,8 @@ Status GpfsCluster::set_acl(const std::string& path) {
 
 std::size_t GpfsCluster::pump() {
   std::size_t pumped = 0;
-  while (auto message = sink_->try_recv()) {
-    auto record = AuditRecord::from_json(message->payload);
+  while (auto json = queue_.try_pop()) {
+    auto record = AuditRecord::from_json(*json);
     if (record) {
       fileset_.append(std::move(record).take());
       ++pumped;

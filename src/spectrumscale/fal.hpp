@@ -8,8 +8,8 @@
 // build a scalable monitoring solution for Spectrum Scale" (§II-B2).
 //
 // This module simulates exactly that pipeline: protocol nodes generate
-// JSON audit records for local operations, publish them onto the
-// multi-node message queue (one publisher per node, fan-in), and a
+// JSON audit records for local operations, push them onto the
+// multi-node message queue (every node fans in to one bounded queue), and a
 // consumer writes them to the retention-enabled fileset, which retains
 // records for a configurable period and serves incremental reads — the
 // surface the Spectrum Scale DSI consumes.
@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bounded_queue.hpp"
 #include "src/common/clock.hpp"
 #include "src/common/status.hpp"
-#include "src/msgq/pubsub.hpp"
 
 namespace fsmon::spectrumscale {
 
@@ -100,7 +100,7 @@ struct GpfsClusterOptions {
 };
 
 /// The simulated cluster: file operations routed round-robin over
-/// protocol nodes; each node publishes audit records onto the message
+/// protocol nodes; each node pushes audit records onto the message
 /// queue; a built-in sink drains the queue into the retention fileset
 /// (the paper's FAL pipeline).
 class GpfsCluster {
@@ -144,9 +144,8 @@ class GpfsCluster {
   std::map<std::string, Entry> entries_;
   std::uint64_t next_inode_ = 1;
   std::uint32_t next_node_ = 0;
-  msgq::Bus bus_;
-  std::vector<std::shared_ptr<msgq::Publisher>> node_publishers_;
-  std::shared_ptr<msgq::Subscriber> sink_;
+  /// The multi-node message queue; pump() is its sink.
+  common::BoundedQueue<std::string> queue_{1 << 16};
   RetentionFileset fileset_;
 };
 

@@ -1,7 +1,7 @@
 // FrameRef: an immutable, ref-counted handle to one encoded batch frame.
 //
 // Every hop of the pipeline (collector -> router -> shard aggregator ->
-// consumers / bridge / persist queue) moves the same already-encoded
+// consumers / persist queue) moves the same already-encoded
 // CRC-trailed frame bytes. Before the transport layer existed each hop
 // copied the frame into the next stage's inbox; a FrameRef makes the
 // handoff a shared_ptr bump instead, and the process-wide frame_copies()

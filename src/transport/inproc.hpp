@@ -1,87 +1,89 @@
-// InProcTransport: the msgq::Bus pub/sub rebased onto the Transport
-// interface.
+// InProcTransport: the in-process carrier, standing in for the paper's
+// ZeroMQ pub/sub between stages of one process.
 //
-// The carrier is unchanged — msgq::Publisher fan-out into each
-// msgq::Subscriber's bounded inbox — but the payload now rides in
-// msgq::Message::frame, so the per-subscriber Message copy that used to
-// duplicate the encoded batch is a FrameRef shared_ptr bump. The
-// adapters also expose their underlying msgq endpoints (publisher() /
-// subscriber()) for the compat accessors the fault-tolerance tests use
-// to splice rogue publishers into a running pipeline.
+// A receiver is a bounded queue of Frames plus a set of topic prefix
+// filters; the high-water mark and overflow policy are the queue's
+// (kBlock is lossless back-pressure, kDropNewest counts dropped()).
+// A sender holds weak references to its connected receivers, so a
+// destroyed receiver is pruned on the next send, while a closed one
+// still counts as an audience and refuses.
 //
-// Declared under src/transport/ but compiled into fsmon_msgq:
-// fsmon_transport cannot depend on msgq (msgq::Message embeds FrameRef),
-// so the adapter sources live where both sides are visible.
+// send() snapshots the live receivers under the sender's lock and
+// delivers outside it, so a receiver blocked at its high-water mark
+// stalls only that send, never connect()/disconnect() or sends from
+// other threads. Delivery is move-aware: the last matching receiver
+// gets the FrameRef itself, so with single-receiver fan-in (every
+// collector -> shard hop) the frame's refcount stays at one and the
+// aggregator patches ids in place without a copy.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
-#include "src/msgq/pubsub.hpp"
+#include "src/common/bounded_queue.hpp"
 #include "src/transport/transport.hpp"
 
 namespace fsmon::transport {
 
 class InProcReceiver : public Receiver {
  public:
-  explicit InProcReceiver(std::shared_ptr<msgq::Subscriber> subscriber)
-      : subscriber_(std::move(subscriber)) {}
+  InProcReceiver(std::string name, std::size_t high_water_mark, OverflowPolicy policy)
+      : name_(std::move(name)), inbox_(high_water_mark, policy) {}
 
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
-  std::optional<Frame> try_recv() override;
-  void subscribe(std::string_view prefix) override { subscriber_->subscribe(std::string(prefix)); }
-  void close() override { subscriber_->close(); }
-  void reopen() override { subscriber_->reopen(); }
-  bool closed() const override { return subscriber_->closed(); }
-  std::size_t pending() const override { return subscriber_->pending(); }
-  std::uint64_t dropped() const override { return subscriber_->dropped(); }
-  const std::string& name() const override { return subscriber_->name(); }
+  std::optional<Frame> try_recv() override { return inbox_.try_pop(); }
+  void subscribe(std::string_view prefix) override;
+  void close() override { inbox_.close(); }
+  void reopen() override { inbox_.reopen(); }
+  bool closed() const override { return inbox_.closed(); }
+  std::size_t pending() const override { return inbox_.size(); }
+  std::uint64_t dropped() const override { return inbox_.dropped(); }
+  const std::string& name() const override { return name_; }
 
-  /// The wrapped msgq endpoint (compat splice point for tests).
-  const std::shared_ptr<msgq::Subscriber>& subscriber() const { return subscriber_; }
+  bool accepts(std::string_view topic) const;
 
  private:
-  static std::optional<Frame> to_frame(std::optional<msgq::Message> message);
+  friend class InProcSender;
 
-  std::shared_ptr<msgq::Subscriber> subscriber_;
+  const std::string name_;
+  mutable std::mutex filter_mu_;
+  std::vector<std::string> filters_;
+  common::BoundedQueue<Frame> inbox_;
 };
 
 class InProcSender : public Sender {
  public:
-  explicit InProcSender(std::shared_ptr<msgq::Publisher> publisher)
-      : publisher_(std::move(publisher)) {}
+  explicit InProcSender(std::string name) : name_(std::move(name)) {}
 
   SendResult send(std::string_view topic, FrameRef frame) override;
   void connect(const std::shared_ptr<Receiver>& receiver) override;
   void disconnect(const std::shared_ptr<Receiver>& receiver) override;
-  std::size_t receiver_count() const override { return publisher_->subscriber_count(); }
-  std::uint64_t sent() const override { return publisher_->published(); }
-  const std::string& name() const override { return publisher_->name(); }
+  std::size_t receiver_count() const override;
+  std::uint64_t sent() const override;
+  const std::string& name() const override { return name_; }
 
   void set_metrics(TransportMetrics metrics) { metrics_ = metrics; }
 
-  /// The wrapped msgq endpoint (compat splice point for tests).
-  const std::shared_ptr<msgq::Publisher>& publisher() const { return publisher_; }
-
  private:
-  std::shared_ptr<msgq::Publisher> publisher_;
+  const std::string name_;
+  mutable std::mutex mu_;
+  std::vector<std::weak_ptr<InProcReceiver>> receivers_;
+  std::uint64_t sent_ = 0;
   TransportMetrics metrics_;
 };
 
 class InProcTransport : public Transport {
  public:
-  explicit InProcTransport(msgq::Bus& bus) : bus_(bus) {}
-
   TransportKind kind() const override { return TransportKind::kInProc; }
   std::shared_ptr<Sender> make_sender(std::string name) override;
-  std::shared_ptr<Receiver> make_receiver(std::string name, std::size_t high_water_mark,
-                                          OverflowPolicy policy) override;
+  std::shared_ptr<Receiver> make_receiver(
+      std::string name, std::size_t high_water_mark = 1 << 16,
+      OverflowPolicy policy = OverflowPolicy::kBlock) override;
   void attach_metrics(obs::MetricsRegistry* registry) override;
 
-  msgq::Bus& bus() { return bus_; }
-
  private:
-  msgq::Bus& bus_;
   std::mutex mu_;
   std::vector<std::shared_ptr<InProcSender>> senders_;
   TransportMetrics metrics_;

@@ -30,24 +30,28 @@ void ShmSender::connect(const std::shared_ptr<Receiver>& receiver) {
 void ShmSender::disconnect(const std::shared_ptr<Receiver>& receiver) {
   std::lock_guard lock(mu_);
   std::erase_if(edges_, [&](const Edge& edge) {
-    if (edge.receiver != receiver) return false;
-    edge.receiver->remove_source(edge.ring);
+    auto live = edge.receiver.lock();
+    if (live != nullptr && live != receiver) return false;
+    if (live != nullptr) live->remove_source(edge.ring);
     return true;
   });
 }
 
 std::size_t ShmSender::receiver_count() const {
   std::lock_guard lock(mu_);
-  return edges_.size();
+  return static_cast<std::size_t>(std::count_if(
+      edges_.begin(), edges_.end(), [](const Edge& edge) { return !edge.receiver.expired(); }));
 }
 
 SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
   std::lock_guard lock(mu_);
+  std::erase_if(edges_, [](const Edge& edge) { return edge.receiver.expired(); });
   ++sent_;
   SendResult result;
   if (detail::send_faulted()) {
     for (const auto& edge : edges_) {
-      if (edge.receiver->accepts(topic)) ++result.receivers;
+      if (auto receiver = edge.receiver.lock(); receiver && receiver->accepts(topic))
+        ++result.receivers;
     }
     // Surface as a refusal even with no one listening so chaos schedules
     // deterministically trigger the producer's rewind path.
@@ -55,10 +59,12 @@ SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
     return result;
   }
   for (const auto& edge : edges_) {
-    if (!edge.receiver->accepts(topic)) continue;
+    const auto receiver = edge.receiver.lock();
+    if (receiver == nullptr || !receiver->accepts(topic)) continue;
     ++result.receivers;
+    if (receiver->drop_at_high_water()) continue;
     bool delivered = false;
-    while (!edge.receiver->closed()) {
+    while (!receiver->closed()) {
       const auto pushed = edge.ring->try_push(topic, frame.bytes());
       if (pushed == ShmRing::PushResult::kOk) {
         delivered = true;
@@ -68,6 +74,10 @@ SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
         // Route around the ring: the overflow queue moves the FrameRef
         // itself (a shared_ptr bump, still no byte copy).
         delivered = edge.overflow->push(Frame{std::string(topic), frame});
+        break;
+      }
+      if (receiver->policy_ == OverflowPolicy::kDropNewest) {
+        receiver->count_drop();
         break;
       }
       // Ring full: block until the receiver releases records, unless the
@@ -82,7 +92,7 @@ SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
     }
     if (delivered) {
       ++result.accepted;
-      edge.receiver->notify();
+      receiver->notify();
     }
   }
   metrics_.on_send(result.accepted, result.accepted * frame.size());
@@ -92,9 +102,9 @@ SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
 // ---------------------------------------------------------------------------
 // ShmReceiver
 
-ShmReceiver::ShmReceiver(std::string name, std::size_t /*high_water_mark*/,
-                         OverflowPolicy /*policy*/)
-    : name_(std::move(name)) {}
+ShmReceiver::ShmReceiver(std::string name, std::size_t high_water_mark,
+                         OverflowPolicy policy)
+    : name_(std::move(name)), high_water_mark_(high_water_mark), policy_(policy) {}
 
 void ShmReceiver::add_source(Source source) {
   std::lock_guard lock(mu_);
@@ -112,6 +122,17 @@ void ShmReceiver::notify() {
     std::lock_guard lock(mu_);
   }
   cv_.notify_all();
+}
+
+bool ShmReceiver::drop_at_high_water() {
+  if (policy_ != OverflowPolicy::kDropNewest || pending() < high_water_mark_) return false;
+  count_drop();
+  return true;
+}
+
+void ShmReceiver::count_drop() {
+  std::lock_guard lock(mu_);
+  ++dropped_;
 }
 
 bool ShmReceiver::accepts(std::string_view topic) const {

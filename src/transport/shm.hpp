@@ -15,8 +15,11 @@
 // Backpressure: a full ring blocks the sender (counted as
 // transport.ring_full_waits, consulted against the `transport.shm.full`
 // chaos point) until the receiver releases records — unless the receiver
-// is closed, which surfaces as a refusal exactly like a closed msgq
-// subscriber, so the collector rewind protocol carries over unchanged.
+// is closed, which surfaces as a refusal exactly like a closed in-proc
+// inbox, so the collector rewind protocol carries over unchanged. A
+// kDropNewest receiver never blocks its sender: a frame that would take
+// it past its high-water mark (or find its ring full) is dropped and
+// counted in dropped().
 // Frames larger than the ring can ever hold travel via a small overflow
 // queue of FrameRefs (a shared_ptr bump, still no copy).
 #pragma once
@@ -58,7 +61,8 @@ class ShmSender : public Sender {
 
  private:
   struct Edge {
-    std::shared_ptr<ShmReceiver> receiver;
+    /// Weak: a destroyed receiver is pruned on the next send.
+    std::weak_ptr<ShmReceiver> receiver;
     std::shared_ptr<ShmRing> ring;
     std::shared_ptr<common::BoundedQueue<Frame>> overflow;
   };
@@ -101,9 +105,15 @@ class ShmReceiver : public Receiver,
   void remove_source(const std::shared_ptr<ShmRing>& ring);
   /// Sender-side wakeup after a push.
   void notify();
+  /// kDropNewest only: true (and counted as dropped) when one more frame
+  /// would exceed the high-water mark.
+  bool drop_at_high_water();
+  void count_drop();
   std::optional<Frame> poll_sources();
 
   const std::string name_;
+  const std::size_t high_water_mark_;
+  const OverflowPolicy policy_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Source> sources_;
@@ -118,8 +128,9 @@ class ShmTransport : public Transport {
 
   TransportKind kind() const override { return TransportKind::kShm; }
   std::shared_ptr<Sender> make_sender(std::string name) override;
-  std::shared_ptr<Receiver> make_receiver(std::string name, std::size_t high_water_mark,
-                                          OverflowPolicy policy) override;
+  std::shared_ptr<Receiver> make_receiver(
+      std::string name, std::size_t high_water_mark = 1 << 16,
+      OverflowPolicy policy = OverflowPolicy::kBlock) override;
   void attach_metrics(obs::MetricsRegistry* registry) override;
 
  private:

@@ -1,30 +1,31 @@
 // Transport: the stage-boundary abstraction of the pipeline.
 //
 // Every hop — collector -> router, router -> shard aggregator,
-// aggregator -> consumers / TCP bridge — moves one topic string plus one
-// immutable FrameRef over a Sender/Receiver pair. The stages no longer
-// know what carries the frame; three implementations sit behind the
-// interface:
+// aggregator -> consumers — moves one topic string plus one immutable
+// FrameRef over a Sender/Receiver pair. The stages never know what
+// carries the frame; this directory owns all three carriers:
 //
-//   - InProcTransport (src/transport/inproc.hpp, built on msgq::Bus):
-//     handoff is a shared_ptr bump into the receiver's bounded inbox.
-//   - ShmTransport (src/transport/shm.hpp, built on a variable-length
-//     SPSC byte ring): publish writes the frame once into the ring;
+//   - InProcTransport (src/transport/inproc.hpp): each receiver is a
+//     bounded queue plus prefix filters; handoff is a shared_ptr bump.
+//   - ShmTransport (src/transport/shm.hpp, a variable-length SPSC byte
+//     ring per edge): send writes the frame once into the ring;
 //     receivers read it in place via a borrowing FrameRef.
-//   - TcpTransport (src/transport/tcp.hpp, over msgq's TCP endpoints):
-//     scatter-gather writev of header + payload, no assembly buffer.
+//   - TcpTransport (src/transport/tcp.hpp, loopback sockets with a
+//     CRC-framed wire format): scatter-gather write of header + payload,
+//     no assembly buffer; every connection of a receiver feeds one inbox.
 //
 // Contract (all implementations):
-//   - SendResult mirrors the refusal protocol the collector rewind
+//   - SendResult carries the refusal protocol the collector rewind
 //     depends on: `accepted == 0 && receivers > 0` means every connected
 //     receiver refused the frame and the producer must rewind/retry.
 //     `receivers == 0` means nobody is listening (fine to drop).
 //   - A frame accepted by send() is delivered to every connected,
 //     subscribed, open receiver exactly once, in per-sender order.
-//   - Receivers filter by topic prefix (subscribe("") = everything) and
-//     mirror msgq::Subscriber lifecycle: close() wakes blocked recv()
-//     which drains the backlog then returns nullopt; senders see a
-//     closed receiver as refusing; reopen() discards the backlog.
+//   - Receivers filter by topic prefix (subscribe("") = everything).
+//     close() wakes a blocked recv(), which drains the backlog then
+//     returns nullopt; senders see a closed receiver as refusing (a
+//     connected receiver still counts until it is destroyed, which
+//     prunes it from every sender); reopen() discards the backlog.
 //   - Every send() consults the `transport.before_send` chaos point:
 //     kDrop/kFail/kCrash surface as a refusal (accepted=0), kDelay
 //     sleeps for real. This gives the chaos suite one lever that works
@@ -38,6 +39,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/bounded_queue.hpp"
 #include "src/transport/frame.hpp"
 
 namespace fsmon::obs {
@@ -79,7 +81,7 @@ class Receiver {
   virtual std::optional<Frame> try_recv() = 0;
 
   /// Add a topic prefix filter; no filters = receive nothing,
-  /// subscribe("") = receive everything (msgq::Subscriber semantics).
+  /// subscribe("") = receive everything.
   virtual void subscribe(std::string_view prefix) = 0;
 
   virtual void close() = 0;
@@ -130,8 +132,8 @@ struct TransportMetrics {
   std::shared_ptr<Instruments> instruments_;
 };
 
-/// Overflow behaviour for a receiver's inbox (mirrors msgq policies).
-enum class OverflowPolicy : std::uint8_t { kBlock, kDropNewest };
+/// Overflow behaviour for a receiver's inbox at its high-water mark.
+using common::OverflowPolicy;
 
 class Transport {
  public:

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/scalable/scalable_monitor.hpp"
+#include "src/transport/inproc.hpp"
 
 namespace fsmon::scalable {
 namespace {
@@ -46,22 +47,22 @@ std::vector<StdEvent> run_collector(std::size_t resolver_threads,
                                     std::size_t cache_size) {
   common::ManualClock clock;
   LustreFs fs(LustreFsOptions{}, clock);
-  msgq::Bus bus;
-  auto inbox = bus.make_subscriber("inbox", 4096);
+  transport::InProcTransport transport;
+  auto inbox = transport.make_receiver("inbox", 4096);
   inbox->subscribe("");
-  auto publisher = bus.make_publisher("pub");
-  publisher->connect(inbox);
+  auto sender = transport.make_sender("pub");
+  sender->connect(inbox);
 
   CollectorOptions options;
   options.cache_size = cache_size;
   options.resolver_threads = resolver_threads;
-  Collector collector(fs, 0, publisher, options, clock);
+  Collector collector(fs, 0, sender, options, clock);
   apply_workload(fs);
   collector.drain_once();
 
   std::vector<StdEvent> events;
   while (auto message = inbox->try_recv()) {
-    auto batch = core::decode_batch(message->byte_span());
+    auto batch = core::decode_batch(message->payload.bytes());
     EXPECT_TRUE(batch.is_ok()) << batch.status().to_string();
     if (!batch.is_ok()) continue;
     for (auto& event : batch.value().events) events.push_back(std::move(event));

@@ -15,7 +15,6 @@
 #include "src/localfs/memfs.hpp"
 #include "src/localfs/sim_dsi.hpp"
 #include "src/lustre/filesystem.hpp"
-#include "src/msgq/tcp.hpp"
 #include "src/nsindex/index_consumer.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/scalable/scalable_monitor.hpp"
@@ -94,7 +93,7 @@ void exercise_all_stages(obs::MetricsRegistry& registry) {
   nsindex::IndexConsumerOptions idx_options;
   idx_options.snapshot_dir = store_dir / "nsidx";
   idx_options.metrics = &registry;
-  nsindex::IndexConsumer idx_consumer(monitor.bus(), monitor.sharded(),
+  nsindex::IndexConsumer idx_consumer(monitor.sharded(),
                                       "doc-nsidx", std::move(idx_options));
 
   // Simulator-only instruments (sim.*, consumer.delivery_latency_us, ...).
@@ -131,12 +130,6 @@ void exercise_all_stages(obs::MetricsRegistry& registry) {
     if (inotify_dsi.start([](const core::StdEvent&) {}).is_ok()) inotify_dsi.stop();
     std::filesystem::remove_all(watch_dir);
   }
-
-  // TCP transport instruments.
-  msgq::TcpPublisher publisher;
-  publisher.attach_metrics(registry, {{"endpoint", "doc"}});
-  msgq::TcpSubscriber subscriber;
-  subscriber.attach_metrics(registry, {{"endpoint", "doc"}});
 
   monitor.stop();
   std::filesystem::remove_all(store_dir);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/scalable/scalable_monitor.hpp"
+#include "src/transport/inproc.hpp"
 
 namespace fsmon::scalable {
 namespace {
@@ -11,11 +12,11 @@ namespace {
 TEST(CollectorCostsTest, ModeledLatencyAdvancesInjectedClock) {
   common::ManualClock clock;
   lustre::LustreFs fs(lustre::LustreFsOptions{}, clock);
-  msgq::Bus bus;
-  auto inbox = bus.make_subscriber("inbox", 1024);
+  transport::InProcTransport transport;
+  auto inbox = transport.make_receiver("inbox", 1024);
   inbox->subscribe("");
-  auto publisher = bus.make_publisher("pub");
-  publisher->connect(inbox);
+  auto sender = transport.make_sender("pub");
+  sender->connect(inbox);
 
   CollectorOptions options;
   options.cache_size = 16;
@@ -23,7 +24,7 @@ TEST(CollectorCostsTest, ModeledLatencyAdvancesInjectedClock) {
   options.costs.base_cpu = std::chrono::microseconds(10);
   options.resolver.base_cost = std::chrono::microseconds(50);
   options.resolver.per_component_cost = {};
-  Collector collector(fs, 0, publisher, options, clock);
+  Collector collector(fs, 0, sender, options, clock);
 
   fs.create("/a");  // parent (root) fid2path + construct: 100us + 50us + lookups
   fs.modify("/a", 1);  // target cache hit: 100us + lookups
@@ -35,7 +36,7 @@ TEST(CollectorCostsTest, ModeledLatencyAdvancesInjectedClock) {
   // Both events were published (possibly sharing one batch frame).
   std::size_t events = 0;
   while (auto message = inbox->try_recv()) {
-    auto batch = core::decode_batch(message->byte_span());
+    auto batch = core::decode_batch(message->payload.bytes());
     ASSERT_TRUE(batch.is_ok()) << batch.status().to_string();
     events += batch.value().size();
   }
@@ -45,10 +46,10 @@ TEST(CollectorCostsTest, ModeledLatencyAdvancesInjectedClock) {
 TEST(CollectorCostsTest, ZeroCostsDoNotTouchClock) {
   common::ManualClock clock;
   lustre::LustreFs fs(lustre::LustreFsOptions{}, clock);
-  msgq::Bus bus;
-  auto publisher = bus.make_publisher("pub");
+  transport::InProcTransport transport;
+  auto sender = transport.make_sender("pub");
   CollectorOptions options;  // zero modeled costs
-  Collector collector(fs, 0, publisher, options, clock);
+  Collector collector(fs, 0, sender, options, clock);
   fs.create("/a");
   const auto before = clock.now();
   collector.drain_once();
@@ -58,11 +59,11 @@ TEST(CollectorCostsTest, ZeroCostsDoNotTouchClock) {
 TEST(CollectorCostsTest, CacheStatsExposed) {
   common::ManualClock clock;
   lustre::LustreFs fs(lustre::LustreFsOptions{}, clock);
-  msgq::Bus bus;
-  auto publisher = bus.make_publisher("pub");
+  transport::InProcTransport transport;
+  auto sender = transport.make_sender("pub");
   CollectorOptions options;
   options.cache_size = 16;
-  Collector collector(fs, 0, publisher, options, clock);
+  Collector collector(fs, 0, sender, options, clock);
   fs.create("/a");
   fs.modify("/a", 1);
   collector.drain_once();
@@ -72,7 +73,7 @@ TEST(CollectorCostsTest, CacheStatsExposed) {
 
   CollectorOptions uncached;
   uncached.cache_size = 0;
-  Collector bare(fs, 0, publisher, uncached, clock);
+  Collector bare(fs, 0, sender, uncached, clock);
   EXPECT_FALSE(bare.cache_stats().has_value());
 }
 

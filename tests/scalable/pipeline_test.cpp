@@ -1,15 +1,22 @@
 // End-to-end tests of the threaded scalable pipeline:
-// collectors -> aggregator -> consumers over the pub/sub bus.
+// collectors -> aggregator -> consumers over the in-process transport,
+// and (TcpBridgeTest) with every hop on one loopback TcpTransport, the
+// one remote path: consumers get the whole stream and apply their rules.
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "src/scalable/scalable_monitor.hpp"
+#include "src/transport/tcp.hpp"
 
 namespace fsmon::scalable {
 namespace {
@@ -32,6 +39,7 @@ class PipelineTest : public ::testing::Test {
   ScalableMonitorOptions options(bool with_store = false) {
     ScalableMonitorOptions o;
     o.collector.cache_size = 64;
+    o.transport = transport_;
     if (with_store) {
       eventstore::EventStoreOptions store;
       store.directory = dir_;
@@ -40,11 +48,18 @@ class PipelineTest : public ::testing::Test {
     return o;
   }
 
+  void expect_single_mds_end_to_end();
+  void expect_filtering_is_local();
+
+  /// Null = in-process.
+  transport::Transport* transport_ = nullptr;
   std::filesystem::path dir_;
   common::RealClock clock;
 };
 
-TEST_F(PipelineTest, SingleMdsEndToEnd) {
+TEST_F(PipelineTest, SingleMdsEndToEnd) { expect_single_mds_end_to_end(); }
+
+void PipelineTest::expect_single_mds_end_to_end() {
   LustreFs fs(LustreFsOptions{}, clock);
   ScalableMonitor monitor(fs, options(), clock);
 
@@ -122,7 +137,9 @@ TEST_F(PipelineTest, FourMdsEventsAggregateWithoutLoss) {
   }
 }
 
-TEST_F(PipelineTest, ConsumerFilteringIsLocal) {
+TEST_F(PipelineTest, ConsumerFilteringIsLocal) { expect_filtering_is_local(); }
+
+void PipelineTest::expect_filtering_is_local() {
   LustreFs fs(LustreFsOptions{}, clock);
   fs.mkdir("/keep");
   fs.mkdir("/drop");
@@ -273,6 +290,46 @@ TEST_F(PipelineTest, CollectorPurgesChangelogAfterProcessing) {
   EXPECT_EQ(fs.mds(0).mdt().changelog().retained(), 0u);
   // The collector's processor saw every record.
   EXPECT_EQ(monitor.collector(0).records_processed(), 10u);
+}
+
+class TcpBridgeTest : public PipelineTest {
+ protected:
+  TcpBridgeTest() { transport_ = &tcp_; }
+
+  transport::TcpTransport tcp_;
+};
+
+void wait_until(const std::function<bool()>& predicate) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!predicate() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(predicate());
+}
+
+TEST_F(TcpBridgeTest, EventsReachRemoteConsumer) { expect_single_mds_end_to_end(); }
+
+TEST_F(TcpBridgeTest, RemoteFilteringApplies) { expect_filtering_is_local(); }
+
+TEST_F(TcpBridgeTest, MultipleRemoteConsumersFanOut) {
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(), clock);
+  std::atomic<int> a_count{0}, b_count{0};
+  auto a = monitor.make_consumer("a", ConsumerOptions{},
+                                 [&](const StdEvent&) { a_count.fetch_add(1); });
+  auto b = monitor.make_consumer("b", ConsumerOptions{},
+                                 [&](const StdEvent&) { b_count.fetch_add(1); });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(a->start().is_ok());
+  ASSERT_TRUE(b->start().is_ok());
+
+  for (int i = 0; i < 10; ++i) fs.create("/f" + std::to_string(i));
+  wait_until([&] { return a_count.load() >= 10 && b_count.load() >= 10; });
+  a->stop();
+  b->stop();
+  monitor.stop();
+  EXPECT_EQ(a_count.load(), 10);
+  EXPECT_EQ(b_count.load(), 10);
 }
 
 }  // namespace

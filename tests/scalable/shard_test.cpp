@@ -129,14 +129,13 @@ class ShardRouterTest : public ::testing::Test {
 };
 
 TEST_F(ShardRouterTest, RoutesEachSourceToItsMapShard) {
-  msgq::Bus bus;
   ShardedAggregatorOptions options;
   options.shards = 4;
-  ShardedAggregator sharded(bus, "aggregator", options, clock_);
+  ShardedAggregator sharded("aggregator", options, clock_);
 
   for (std::size_t i = 0; i < 4; ++i) {
     const auto result = sharded.router().route(
-        "t", make_frame("lustre:MDT" + std::to_string(i), 1, 3));
+        "t", transport::FrameRef::adopt(make_frame("lustre:MDT" + std::to_string(i), 1, 3)));
     EXPECT_EQ(result.shard, i);
     EXPECT_EQ(result.accepted, 1u);
   }
@@ -151,10 +150,9 @@ TEST_F(ShardRouterTest, RoutesEachSourceToItsMapShard) {
 }
 
 TEST_F(ShardRouterTest, FaultRefusalSignalsCollectorRewind) {
-  msgq::Bus bus;
   ShardedAggregatorOptions options;
   options.shards = 2;
-  ShardedAggregator sharded(bus, "aggregator", options, clock_);
+  ShardedAggregator sharded("aggregator", options, clock_);
 
   chaos::FaultPlan plan;
   chaos::FaultRule rule;
@@ -167,24 +165,26 @@ TEST_F(ShardRouterTest, FaultRefusalSignalsCollectorRewind) {
   // A dropped link must look like a refusal (accepted == 0 with
   // subscribers > 0), never a silent accept: the collector then rewinds
   // and replays, so no frame is ever in nobody's custody.
-  const auto refused = sharded.router().route("t", make_frame("lustre:MDT0", 1, 2));
+  const auto refused = sharded.router().route(
+      "t", transport::FrameRef::adopt(make_frame("lustre:MDT0", 1, 2)));
   EXPECT_EQ(refused.accepted, 0u);
   EXPECT_GT(refused.subscribers, 0u);
   EXPECT_EQ(sharded.router().frames_refused(), 1u);
 
-  const auto ok = sharded.router().route("t", make_frame("lustre:MDT0", 1, 2));
+  const auto ok = sharded.router().route(
+      "t", transport::FrameRef::adopt(make_frame("lustre:MDT0", 1, 2)));
   EXPECT_EQ(ok.accepted, 1u);
   EXPECT_EQ(sharded.shard(0).drain_once(), 1u);
   EXPECT_EQ(sharded.shard(0).aggregated(), 2u);
 }
 
 TEST_F(ShardRouterTest, UnroutableFrameFallsBackToShardZero) {
-  msgq::Bus bus;
   ShardedAggregatorOptions options;
   options.shards = 4;
-  ShardedAggregator sharded(bus, "aggregator", options, clock_);
+  ShardedAggregator sharded("aggregator", options, clock_);
 
-  const auto result = sharded.router().route("t", "not a batch frame");
+  const auto result = sharded.router().route(
+      "t", transport::FrameRef::adopt(std::string("not a batch frame")));
   EXPECT_EQ(result.shard, 0u);
   EXPECT_EQ(result.accepted, 1u);
 }

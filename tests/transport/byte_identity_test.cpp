@@ -1,6 +1,6 @@
 // Satellite invariant of the transport layer: the carrier must be
-// invisible. The same 4-shard workload routed over the in-process bus,
-// the shared-memory rings and the TCP bridge must deliver byte-identical
+// invisible. The same 4-shard workload routed over the in-process queues,
+// the shared-memory rings and TCP sockets must deliver byte-identical
 // per-shard consumer streams — same frames, same bytes, same order. The
 // in-proc and shm runs must additionally complete with zero frame
 // copies (TCP's receive side materializes bytes off the socket; that is
@@ -44,12 +44,11 @@ std::string make_frame(const std::string& source, std::uint64_t first_cookie,
 using Streams = std::map<std::string, std::vector<std::string>>;
 
 Streams run_workload(Transport& transport) {
-  msgq::Bus bus;
   common::RealClock clock;
   scalable::ShardedAggregatorOptions options;
   options.shards = kShards;
   options.transport = &transport;
-  scalable::ShardedAggregator sharded(bus, "aggregator", std::move(options), clock);
+  scalable::ShardedAggregator sharded("aggregator", std::move(options), clock);
 
   auto tap = transport.make_receiver("tap", 1 << 16, OverflowPolicy::kBlock);
   tap->subscribe("");
@@ -66,8 +65,8 @@ Streams run_workload(Transport& transport) {
     for (std::size_t m = 0; m < kShards; ++m) {
       const int count = 1 + (round + static_cast<int>(m)) % 5;
       const std::string source = "lustre:MDT" + std::to_string(m);
-      const auto result =
-          sharded.router().route("events", make_frame(source, next_cookie[m], count));
+      const auto result = sharded.router().route(
+          "events", FrameRef::adopt(make_frame(source, next_cookie[m], count)));
       EXPECT_EQ(result.accepted, 1u) << source << " round " << round;
       next_cookie[m] += static_cast<std::uint64_t>(count);
       ++frames_routed;
@@ -96,8 +95,7 @@ Streams run_workload(Transport& transport) {
 }
 
 TEST(ByteIdentityTest, AllTransportsDeliverIdenticalConsumerStreams) {
-  msgq::Bus inproc_bus;
-  InProcTransport inproc(inproc_bus);
+  InProcTransport inproc;
   ShmTransport shm;
   TcpTransport tcp;
 
@@ -124,8 +122,7 @@ TEST(ByteIdentityTest, ShardStreamsDifferButUnionCoversWorkload) {
   // Sanity on the harness itself: the per-shard streams are genuinely
   // partitioned (no two shards carry the same frames), and decoding the
   // union recovers every routed (source, cookie) exactly once.
-  msgq::Bus bus;
-  InProcTransport transport(bus);
+  InProcTransport transport;
   const Streams streams = run_workload(transport);
   std::map<std::pair<std::string, std::uint64_t>, int> seen;
   for (const auto& [topic, frames] : streams) {

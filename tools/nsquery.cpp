@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   const std::string& command = positional[1];
   const auto shards = static_cast<std::size_t>(config.get_int("shards", 1));
 
-  msgq::Bus bus;
   scalable::ShardedAggregatorOptions options;
   options.shards = shards;
   eventstore::EventStoreOptions store;
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
   auto& clock = common::RealClock::instance();
   // Constructing the tier recovers each shard's store from disk; we
   // never start() it — nsquery only reads the merged replay.
-  scalable::ShardedAggregator aggregator(bus, "nsquery", options, clock);
+  scalable::ShardedAggregator aggregator("nsquery", options, clock);
 
   nsindex::NamespaceIndex index;
   const std::string snapshot_dir = config.get_or("snapshot.dir", "");

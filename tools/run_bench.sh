@@ -56,7 +56,7 @@ fi
 echo "OK: BENCH_shards.json written."
 
 # Transport: the zero-copy FrameRef hop over in-proc/shm/TCP against the
-# copy-per-hop msgq baseline (the old BM_BatchedHop loop). Exits nonzero
+# copy-per-hop in-proc baseline (the old BM_BatchedHop loop). Exits nonzero
 # if the in-proc or shm hop falls below 2x the baseline at batch 64, any
 # in-proc/shm hop copies a frame payload, or the one-serialization-per-
 # event codec invariant breaks.
