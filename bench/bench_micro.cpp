@@ -1,6 +1,6 @@
 // Google-benchmark micro-benchmarks for the hot-path primitives: the
 // fid2path LRU cache, the bounded queue, Algorithm 1 processing, event
-// serialization, and in-process transport sends.
+// serialization, consumer rule matching, and in-process transport sends.
 #include <filesystem>
 
 #include <benchmark/benchmark.h>
@@ -10,6 +10,7 @@
 #include "src/common/random.hpp"
 #include "src/common/spsc_ring.hpp"
 #include "src/core/event.hpp"
+#include "src/core/filter.hpp"
 #include "src/eventstore/store.hpp"
 #include "src/scalable/processor.hpp"
 #include "src/transport/inproc.hpp"
@@ -75,6 +76,30 @@ void BM_EventSerializeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventSerializeRoundTrip);
+
+// One consumer's per-event match, shaped like the fanout_16 workload:
+// Arg(0) recursive rules on distinct top-level directories, events
+// spread over 512 directories two levels deep. The cost should follow
+// path depth, not the rule count.
+void BM_CompiledRuleSetMatch(benchmark::State& state) {
+  std::vector<core::FilterRule> rules;
+  for (std::int64_t d = 0; d < state.range(0); ++d)
+    rules.push_back({"/d" + std::to_string(d * 7 % 512), true, "", std::nullopt});
+  const core::CompiledRuleSet compiled(rules);
+  std::vector<std::string> paths;
+  for (int i = 0; i < 4096; ++i)
+    paths.push_back("/d" + std::to_string(i % 512) + "/f" + std::to_string(i));
+  std::size_t i = 0;
+  std::uint64_t matched = 0;
+  for (auto _ : state) {
+    matched += compiled.matches(paths[i], core::EventKind::kCreate) ? 1 : 0;
+    i = (i + 1) % paths.size();
+  }
+  benchmark::DoNotOptimize(matched);
+  state.counters["match_ratio"] =
+      static_cast<double>(matched) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CompiledRuleSetMatch)->Arg(1)->Arg(32)->Arg(512);
 
 void BM_InProcSend(benchmark::State& state) {
   transport::InProcTransport transport;

@@ -67,6 +67,21 @@ std::string normalize_path(std::string_view path) {
   return out;
 }
 
+bool is_normalized_path(std::string_view path) {
+  if (path.empty() || path[0] != '/') return false;
+  if (path.size() == 1) return true;
+  // Component [start, i) at each separator (and at the end): reject
+  // empty ("//", trailing '/'), "." and "..".
+  std::size_t start = 1;
+  for (std::size_t i = 1; i <= path.size(); ++i) {
+    if (i < path.size() && path[i] != '/') continue;
+    const std::size_t len = i - start;
+    if (len == 0 || (len <= 2 && path[start] == '.' && path[i - 1] == '.')) return false;
+    start = i + 1;
+  }
+  return true;
+}
+
 std::string parent_path(std::string_view path) {
   if (path.empty() || path == "/") return "/";
   const auto pos = path.rfind('/');

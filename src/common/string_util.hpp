@@ -26,6 +26,10 @@ std::string_view trim(std::string_view s);
 /// trailing '/'. "/" normalizes to "/".
 std::string normalize_path(std::string_view path);
 
+/// True when normalize_path(path) == path, decided in one scan without
+/// allocating: a leading '/', and no empty, "." or ".." component.
+bool is_normalized_path(std::string_view path);
+
 /// Parent of a normalized path ("/a/b" -> "/a", "/a" -> "/", "/" -> "/").
 std::string parent_path(std::string_view path);
 

@@ -262,6 +262,36 @@ std::vector<std::byte> encode_batch(const EventBatch& batch) {
   return out;
 }
 
+namespace {
+
+// One embedded event record, which must decode to exactly its length.
+Result<StdEvent> decode_embedded(std::span<const std::byte> record) {
+  auto decoded = deserialize_event_impl(record);
+  if (!decoded) return decoded.status();
+  if (decoded.value().second != record.size())
+    return Status(ErrorCode::kCorrupt, "batch: embedded event length mismatch");
+  return std::move(decoded.value().first);
+}
+
+// The `index`-th length-prefixed string of a serialized event (0 =
+// watch_root, 1 = path, 2 = source), viewed in place.
+Result<std::string_view> peek_string(std::span<const std::byte> event_bytes, int index,
+                                     const char* truncated) {
+  std::size_t offset = kEventStringsOffset;
+  for (int i = 0;; ++i) {
+    std::uint64_t len = 0;
+    if (event_bytes.size() < offset || !get_u64(event_bytes, offset, len) ||
+        len > (1ull << 30) || event_bytes.size() - offset < len)
+      return Status(ErrorCode::kCorrupt, i < index ? "event: truncated strings" : truncated);
+    if (i == index)
+      return std::string_view(reinterpret_cast<const char*>(event_bytes.data() + offset),
+                              len);
+    offset += len;
+  }
+}
+
+}  // namespace
+
 Result<EventBatchView> view_batch(std::span<const std::byte> frame, bool verify_crc) {
   if (frame.size() < kBatchHeaderBytes + kBatchTrailerBytes)
     return Status(ErrorCode::kCorrupt, "batch: truncated header");
@@ -299,13 +329,24 @@ Result<EventBatch> decode_batch(std::span<const std::byte> in) {
   batch.events.reserve(view.value().count);
   g_deserialize_calls.fetch_add(view.value().count, std::memory_order_relaxed);
   for (const auto& [offset, len] : view.value().events) {
-    auto decoded = deserialize_event_impl(in.subspan(offset, len));
+    auto decoded = decode_embedded(in.subspan(offset, len));
     if (!decoded) return decoded.status();
-    if (decoded.value().second != len)
-      return Status(ErrorCode::kCorrupt, "batch: embedded event length mismatch");
-    batch.events.push_back(std::move(decoded.value().first));
+    batch.events.push_back(std::move(decoded.value()));
   }
   return batch;
+}
+
+Status decode_events(std::span<const std::byte> frame, const EventBatchView& view,
+                     std::span<const std::uint32_t> indices, std::vector<StdEvent>& out) {
+  g_deserialize_calls.fetch_add(indices.size(), std::memory_order_relaxed);
+  out.reserve(out.size() + indices.size());
+  for (const std::uint32_t i : indices) {
+    const auto& [offset, len] = view.events.at(i);
+    auto decoded = decode_embedded(frame.subspan(offset, len));
+    if (!decoded) return decoded.status();
+    out.push_back(std::move(decoded.value()));
+  }
+  return Status::ok();
 }
 
 Result<std::size_t> patch_batch_ids(std::span<std::byte> frame, common::EventId first_id) {
@@ -319,6 +360,15 @@ Result<std::size_t> patch_batch_ids(std::span<std::byte> frame, common::EventId 
   const std::size_t body = frame.size() - kBatchTrailerBytes;
   write_u32_at(frame, body, common::crc32(std::span<const std::byte>(frame.data(), body)));
   return static_cast<std::size_t>(view.value().count);
+}
+
+Result<common::EventId> peek_event_id(std::span<const std::byte> event_bytes) {
+  if (event_bytes.size() < kEventIdOffset + 8)
+    return Status(ErrorCode::kCorrupt, "event: too short for id");
+  std::uint64_t id = 0;
+  std::size_t offset = kEventIdOffset;
+  get_u64(event_bytes, offset, id);
+  return id;
 }
 
 Result<common::TimePoint> peek_event_timestamp(std::span<const std::byte> event_bytes) {
@@ -339,22 +389,12 @@ Result<std::uint64_t> peek_event_cookie(std::span<const std::byte> event_bytes) 
   return cookie;
 }
 
+Result<std::string_view> peek_event_path(std::span<const std::byte> event_bytes) {
+  return peek_string(event_bytes, 1, "event: truncated path");
+}
+
 Result<std::string_view> peek_event_source(std::span<const std::byte> event_bytes) {
-  // Skip the fixed header, then watch_root and path (u64 length prefixes).
-  std::size_t offset = kEventStringsOffset;
-  for (int i = 0; i < 2; ++i) {
-    std::uint64_t len = 0;
-    if (!get_u64(event_bytes, offset, len) || len > (1ull << 30) ||
-        event_bytes.size() - offset < len)
-      return Status(ErrorCode::kCorrupt, "event: truncated strings");
-    offset += len;
-  }
-  std::uint64_t len = 0;
-  if (!get_u64(event_bytes, offset, len) || len > (1ull << 30) ||
-      event_bytes.size() - offset < len)
-    return Status(ErrorCode::kCorrupt, "event: truncated source");
-  return std::string_view(reinterpret_cast<const char*>(event_bytes.data() + offset),
-                          len);
+  return peek_string(event_bytes, 2, "event: truncated source");
 }
 
 Result<EventKind> peek_event_kind(std::span<const std::byte> event_bytes) {

@@ -162,12 +162,24 @@ struct EventBatchView {
 common::Result<EventBatchView> view_batch(std::span<const std::byte> frame,
                                           bool verify_crc = true);
 
+/// Decode only the embedded events `indices` of a frame that view_batch
+/// indexed as `view`, appending them to `out` in the order given. The
+/// codec counters advance once per decoded event, so a consumer that
+/// decodes only what it delivers shows exactly that cost. kCorrupt on a
+/// malformed embedded event (events before it stay appended).
+common::Status decode_events(std::span<const std::byte> frame, const EventBatchView& view,
+                             std::span<const std::uint32_t> indices,
+                             std::vector<StdEvent>& out);
+
 /// Renumber an encoded batch in place: event i gets id `first_id + i`,
 /// and the CRC trailer is recomputed. The frame's CRC must have been
 /// verified beforehand (structure is re-checked; payloads are trusted).
 /// Returns the number of events patched.
 common::Result<std::size_t> patch_batch_ids(std::span<std::byte> frame,
                                             common::EventId first_id);
+
+/// Read the id of a serialized event without decoding it (offset 0).
+common::Result<common::EventId> peek_event_id(std::span<const std::byte> event_bytes);
 
 /// Read the timestamp of a canonically serialized event without decoding
 /// it (fixed offset: id u64 + kind u8 + is_dir u8 + cookie u64 precede it).
@@ -187,6 +199,11 @@ common::Result<std::uint64_t> peek_event_cookie(
 /// precede it; still far cheaper than a full decode.
 common::Result<std::string_view> peek_event_source(
     std::span<const std::byte> event_bytes);
+
+/// Read the path (relative to watch_root) of a serialized event without
+/// materializing a StdEvent: skips the watch_root string and views the
+/// path bytes in place. kCorrupt when either length runs past the record.
+common::Result<std::string_view> peek_event_path(std::span<const std::byte> event_bytes);
 
 /// Read the kind of a serialized event without decoding it (fixed offset
 /// 8: the id u64 precedes it). Lets batch scanners separate rename halves

@@ -1,5 +1,7 @@
 #include "src/core/filter.hpp"
 
+#include <algorithm>
+
 #include "src/common/string_util.hpp"
 
 namespace fsmon::core {
@@ -67,58 +69,60 @@ CompiledRule CompiledRule::compile(const FilterRule& rule) {
   return compiled;
 }
 
-bool CompiledRule::matches(std::string_view normalized_path,
-                           std::string_view base, EventKind kind) const {
-  if (!mask_accepts(kinds, kind)) return false;
-  if (!common::is_under(normalized_path, root)) return false;
-  if (!recursive) {
-    // Direct children only. is_under already established the prefix, so
-    // the parent check reduces to: the remainder after the root holds
-    // exactly one more component. The root "/" quirk — parent_path("/")
-    // is "/" itself, so a non-recursive "/" rule matches the event path
-    // "/" — is preserved (depth(path) == 1, or path == root == "/").
-    if (root.size() == 1) {  // root == "/"
-      if (normalized_path.size() > 1 &&
-          normalized_path.find('/', 1) != std::string_view::npos)
-        return false;
-    } else {
-      if (normalized_path.size() <= root.size()) return false;  // path == root
-      if (normalized_path.find('/', root.size() + 1) != std::string_view::npos)
-        return false;
-    }
-  }
-  if (!name_pattern.empty() && !common::glob_match(name_pattern, base))
-    return false;
-  return true;
-}
-
-CompiledRuleSet::CompiledRuleSet(std::span<const FilterRule> rules,
-                                 FilterMetrics metrics)
-    : metrics_(metrics) {
+CompiledRuleSet::CompiledRuleSet(std::span<const FilterRule> rules) {
   rules_.reserve(rules.size());
-  for (const auto& rule : rules) rules_.push_back(CompiledRule::compile(rule));
+  for (const auto& rule : rules) {
+    rules_.push_back(CompiledRule::compile(rule));
+    const CompiledRule& compiled = rules_.back();
+    const auto index = static_cast<std::uint32_t>(rules_.size() - 1);
+    if (compiled.components.empty())
+      slash_rules_.push_back(index);
+    else
+      by_root_[compiled.root].push_back(index);
+    max_root_depth_ = std::max(max_root_depth_, compiled.components.size());
+  }
 }
 
-bool CompiledRuleSet::matches(const StdEvent& event) const {
+bool CompiledRuleSet::matches(std::string_view path, EventKind kind) const {
   if (rules_.empty()) return true;
-  const std::string path = common::normalize_path(event.path);
-  const std::string base = common::base_name(path);
-  for (const auto& rule : rules_) {
-    if (rule.matches(path, base, event.kind)) return true;
+  if (common::is_normalized_path(path)) return matches_normalized(path, kind);
+  return matches_normalized(common::normalize_path(path), kind);
+}
+
+bool CompiledRuleSet::matches_normalized(std::string_view path, EventKind kind) const {
+  // An event path P matches a rule rooted at R only if R is "/", a
+  // proper prefix of P ending before a '/', or P itself. A recursive
+  // rule takes any of them; a non-recursive one only P's parent. The
+  // "/" quirk of FilterRule — parent_path("/") is "/", so a
+  // non-recursive "/" rule matches the path "/" — falls out of
+  // last_slash being 0 for both "/" and depth-1 paths.
+  const std::size_t last_slash = path.rfind('/');
+  const std::string_view base = path.substr(last_slash + 1);
+  if (any_accepts(slash_rules_, last_slash == 0, base, kind)) return true;
+  if (path.size() == 1) return false;  // "/" has no other ancestor
+  std::size_t end = 0;
+  for (std::size_t depth = 1; depth <= max_root_depth_ && end < path.size(); ++depth) {
+    end = path.find('/', end + 1);
+    if (end == std::string_view::npos) end = path.size();
+    const auto it = by_root_.find(path.substr(0, end));
+    // end == path.size() probes P itself: only recursive rules accept.
+    if (it != by_root_.end() && any_accepts(it->second, end == last_slash, base, kind))
+      return true;
   }
   return false;
 }
 
-void CompiledRuleSet::filter_batch(std::span<const StdEvent> events,
-                                   std::vector<std::uint32_t>& out) const {
-  std::uint64_t matched = 0;
-  for (std::uint32_t i = 0; i < events.size(); ++i) {
-    if (matches(events[i])) {
-      out.push_back(i);
-      ++matched;
-    }
+bool CompiledRuleSet::any_accepts(std::span<const std::uint32_t> indices, bool direct_child,
+                                  std::string_view base, EventKind kind) const {
+  for (const std::uint32_t i : indices) {
+    const CompiledRule& rule = rules_[i];
+    if (!mask_accepts(rule.kinds, kind)) continue;
+    if (!rule.recursive && !direct_child) continue;
+    if (!rule.name_pattern.empty() && !common::glob_match(rule.name_pattern, base))
+      continue;
+    return true;
   }
-  metrics_.count(matched, events.size() - matched);
+  return false;
 }
 
 bool matches_any(std::span<const FilterRule> rules, const StdEvent& event,

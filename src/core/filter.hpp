@@ -11,24 +11,28 @@
 //   FilterRule      — the user-facing rule, kept verbatim from the
 //                     subscription call. matches() normalizes paths on
 //                     every evaluation: correct, but it allocates per
-//                     (rule, event) pair.
+//                     (rule, event) pair. It is the reference the
+//                     compiled form is property-tested against.
 //   CompiledRule /  — the hot-path form, built once at subscription
 //   CompiledRuleSet   time: root pre-normalized and split into path
 //                     components, the kind set flattened into an 8-bit
-//                     mask, and the filter.* counters resolved up front
-//                     so per-event evaluation does no labelled-metric
-//                     lookups and no per-rule normalization. This is
-//                     also the representation the scalable tier's
+//                     mask, and the set's rules indexed by root. An
+//                     event is matched by walking its path's ancestors
+//                     (O(depth) hash probes, no allocation), so it can
+//                     run on fields read straight out of a frame. The
+//                     component lists are also what the scalable tier's
 //                     SubscriptionIndex ingests (one trie insertion per
-//                     component list).
+//                     rule).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/event.hpp"
@@ -65,9 +69,9 @@ inline bool mask_accepts(KindMask mask, EventKind kind) {
 /// Split a normalized path into its components ("/" -> {}).
 std::vector<std::string> path_components(std::string_view normalized_path);
 
-/// A FilterRule compiled once at subscription time. Semantics are
-/// byte-identical to FilterRule::matches (property-tested); only the
-/// per-event cost changes.
+/// A FilterRule compiled once at subscription time. CompiledRuleSet
+/// matches with it; the semantics are those of FilterRule::matches
+/// (property-tested), only the per-event cost changes.
 struct CompiledRule {
   std::string root;                     ///< Normalized ("/a/b", or "/").
   std::vector<std::string> components;  ///< Split root; empty for "/".
@@ -76,10 +80,6 @@ struct CompiledRule {
   KindMask kinds = kAllKinds;
 
   static CompiledRule compile(const FilterRule& rule);
-
-  /// Match against a pre-normalized path whose base name is `base`.
-  bool matches(std::string_view normalized_path, std::string_view base,
-               EventKind kind) const;
 };
 
 /// Instrument handles for one filtering site (filter.*). Created by the
@@ -102,32 +102,52 @@ struct FilterMetrics {
   }
 };
 
-/// A subscriber's whole rule set in compiled form, with its filter.*
-/// counters bound at construction (subscription) time. The empty rule
-/// set matches everything — the consumer default.
+/// A subscriber's whole rule set in compiled form. The empty rule set
+/// matches everything — the consumer default.
 class CompiledRuleSet {
  public:
   CompiledRuleSet() = default;
-  explicit CompiledRuleSet(std::span<const FilterRule> rules,
-                           FilterMetrics metrics = {});
+  explicit CompiledRuleSet(std::span<const FilterRule> rules);
 
   bool empty() const { return rules_.empty(); }
   std::span<const CompiledRule> rules() const { return rules_; }
-  const FilterMetrics& metrics() const { return metrics_; }
 
-  /// Equivalent to matches_any(rules, event) — normalizes the event path
-  /// once (not once per rule) and never touches counters.
-  bool matches(const StdEvent& event) const;
-
-  /// Filter a batch, appending the indices of matching events to `out`
-  /// (not cleared). Counts the outcome against the bound counters with
-  /// one batched add — no per-event labelled-counter traffic.
-  void filter_batch(std::span<const StdEvent> events,
-                    std::vector<std::uint32_t>& out) const;
+  /// Equivalent to matches_any(rules, event) for an event on `path`.
+  /// Probes the root index with `path`'s ancestors — "/", each prefix,
+  /// then the path itself — so the cost is O(path depth), not O(rules).
+  /// Allocates only when `path` is not already normalized (collector
+  /// paths are). Never touches counters.
+  bool matches(std::string_view path, EventKind kind) const;
+  bool matches(const StdEvent& event) const { return matches(event.path, event.kind); }
 
  private:
+  /// FNV-1a: roots and their probes are short, so an inline byte loop
+  /// beats the general-purpose string hash.
+  struct RootHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      std::uint64_t h = 1469598103934665603ull;
+      for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+
+  bool matches_normalized(std::string_view path, EventKind kind) const;
+  /// Any of the rules `indices`, which share one root, accepting an
+  /// event named `base` of `kind`; `direct_child` says that root is the
+  /// event path's parent.
+  bool any_accepts(std::span<const std::uint32_t> indices, bool direct_child,
+                   std::string_view base, EventKind kind) const;
+
   std::vector<CompiledRule> rules_;
-  FilterMetrics metrics_;
+  std::vector<std::uint32_t> slash_rules_;  ///< Indices of the rules rooted at "/".
+  /// Indices of the other rules by normalized root, found by string_view.
+  std::unordered_map<std::string, std::vector<std::uint32_t>, RootHash, std::equal_to<>>
+      by_root_;
+  std::size_t max_root_depth_ = 0;  ///< Components in the deepest root.
 };
 
 /// True when any rule matches (or the rule set is empty — match-all, the

@@ -61,11 +61,10 @@ Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOpti
                                            "Events per batch received by this consumer",
                                            "events");
   }
-  // Compile the rule set once at subscription: normalized roots, kind
-  // masks, and the filter.* counters bound up front so the delivery hot
-  // path never does a labelled-counter lookup or a per-rule path
-  // normalization per event.
-  compiled_ = core::CompiledRuleSet(options_.rules, filter_metrics_);
+  // Compile the rule set once at subscription: normalized roots indexed
+  // for an O(path depth) match and kind masks, so the delivery hot path
+  // never normalizes a rule root or scans the rules per event.
+  compiled_ = core::CompiledRuleSet(options_.rules);
   if (options_.hub != nullptr)
     hub_sub_ = options_.hub->subscribe(name_, compiled_.rules());
 }
@@ -89,27 +88,51 @@ VectorCursor Consumer::seen_cursor() const {
   return seen_;
 }
 
-void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
-                             bool already_filtered) {
-  if (batch.empty()) return;
+std::size_t Consumer::dedup_pending() const {
   std::lock_guard lock(deliver_mu_);
-  // Record ownership for the duration of the callback so a reentrant
-  // acknowledge_processed() (a checkpoint inside on_batch) can tell it
-  // must not touch deliver_mu_ again on this thread.
-  deliver_owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  struct OwnerScope {
-    std::atomic<std::thread::id>& owner;
-    ~OwnerScope() { owner.store(std::thread::id{}, std::memory_order_relaxed); }
-  } owner_scope{deliver_owner_};
+  std::size_t pending = 0;
+  for (const auto& [source, window] : dedup_) pending += window.beyond.size();
+  return pending;
+}
+
+Consumer::EventFields Consumer::fields_of(const core::StdEvent& event) {
+  return {event.id, event.kind, event.cookie, event.path, event.source};
+}
+
+Status Consumer::peek_fields(std::span<const std::byte> record, EventFields& out) {
+  auto id = core::peek_event_id(record);
+  if (!id) return id.status();
+  auto kind = core::peek_event_kind(record);
+  if (!kind) return kind.status();
+  auto cookie = core::peek_event_cookie(record);
+  if (!cookie) return cookie.status();
+  auto path = core::peek_event_path(record);
+  if (!path) return path.status();
+  auto source = core::peek_event_source(record);
+  if (!source) return source.status();
+  // With the peeks above this is every check deserialize_event makes, so
+  // a frame whose records all pass decodes whole.
+  if (source.value().data() + source.value().size() !=
+      reinterpret_cast<const char*>(record.data() + record.size()))
+    return Status(common::ErrorCode::kCorrupt, "event: bytes after the source string");
+  out = {id.value(), kind.value(), cookie.value(), path.value(), source.value()};
+  return Status::ok();
+}
+
+void Consumer::select_locked(std::span<const EventFields> events,
+                             const std::vector<std::uint32_t>* candidates,
+                             bool dedup_filter, bool settle,
+                             std::vector<std::uint32_t>& picked) {
   // A live frame carries one shard's events; a merged replay page may
   // mix shards. Either way the owning shard is recomputed from the
   // event source through the shared map — the same rule the router
   // applied on the write path.
   const std::size_t shard_count = aggregator_.shard_count();
-  for (const core::StdEvent& event : batch.events) {
-    const std::size_t shard =
-        shard_count == 1 ? 0 : aggregator_.map().shard_of(event.source);
-    seen_.advance(shard, event.id);
+  std::size_t shard = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (shard_count > 1 && (i == 0 || events[i].source != events[i - 1].source))
+      shard = aggregator_.map().shard_of(events[i].source);
+    seen_.advance(shard, events[i].id);
   }
   last_seen_sum_.store(seen_.sum());
   if (delivery_lag_gauge_ != nullptr) {
@@ -120,54 +143,129 @@ void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
     // the hub's credit window, not a transport high-water mark.
     overflow_dropped_gauge_->set(
         receiver_ != nullptr ? static_cast<std::int64_t>(receiver_->dropped()) : 0);
-    batch_size_hist_->record(batch.size());
+    batch_size_hist_->record(events.size());
   }
-  // Duplicate decisions are made for the whole batch before any marking:
+  // Consecutive events nearly always share a source: one map lookup per
+  // run of them, by string_view.
+  std::string_view cached_source;
+  SourceDedupWindow* cached = nullptr;
+  auto window_for = [&](std::string_view source) -> SourceDedupWindow& {
+    if (cached == nullptr || source != cached_source) {
+      auto it = dedup_.find(source);
+      if (it == dedup_.end()) it = dedup_.emplace(std::string(source), SourceDedupWindow{}).first;
+      cached = &it->second;
+      cached_source = source;
+    }
+    return *cached;
+  };
+  auto dedupable = [](const EventFields& event) {
+    return event.cookie != 0 && !event.source.empty();
+  };
+  const std::size_t considered = candidates != nullptr ? candidates->size() : events.size();
+  auto index_at = [&](std::size_t k) {
+    return candidates != nullptr ? (*candidates)[k] : static_cast<std::uint32_t>(k);
+  };
+  // Duplicate verdicts are made for the whole batch before any marking:
   // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
   // travel in one frame, so both are fresh or both are duplicates.
-  std::vector<bool> deliverable(batch.size(), true);
+  std::vector<std::uint8_t> fresh(considered, 1);
+  std::uint64_t duplicates = 0;
   if (dedup_filter) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const core::StdEvent& event = batch.events[i];
-      if (event.cookie == 0 || event.source.empty()) continue;
-      auto it = dedup_.find(event.source);
-      if (it != dedup_.end() && !it->second.fresh(event.cookie)) {
-        deliverable[i] = false;
-        duplicates_.fetch_add(1);
+    for (std::size_t k = 0; k < considered; ++k) {
+      const EventFields& event = events[index_at(k)];
+      if (dedupable(event) && !window_for(event.source).fresh(event.cookie)) {
+        fresh[k] = 0;
+        ++duplicates;
       }
     }
   }
-  for (const core::StdEvent& event : batch.events) {
-    if (event.cookie == 0 || event.source.empty()) continue;
-    dedup_[event.source].mark(event.cookie);
+  for (const EventFields& event : events) {
+    if (!dedupable(event)) continue;
+    SourceDedupWindow& window = window_for(event.source);
+    if (settle) window.settle_below(event.cookie);
+    window.mark(event.cookie);
   }
-  core::EventBatch matched;  // only materialized for batch callbacks
-  std::size_t delivered = 0;
-  std::size_t dropped = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!deliverable[i]) continue;
-    const core::StdEvent& event = batch.events[i];
-    if (!already_filtered && !compiled_.matches(event)) {
+  std::uint64_t dropped = 0;
+  for (std::size_t k = 0; k < considered; ++k) {
+    if (fresh[k] == 0) continue;
+    const std::uint32_t i = index_at(k);
+    if (candidates == nullptr && !compiled_.matches(events[i].path, events[i].kind)) {
       ++dropped;
-      filtered_.fetch_add(1);
       continue;
     }
-    ++delivered;
-    if (batch_callback_)
-      matched.events.push_back(event);
-    else if (callback_)
-      callback_(event);
+    picked.push_back(i);
   }
-  // One batched add per counter instead of 2-3 atomic increments per
-  // event. Hub-delivered batches were matched by the shared index and
-  // are not re-counted here.
-  if (!already_filtered) filter_metrics_.count(delivered, dropped);
-  if (delivered > 0) {
-    delivered_.fetch_add(delivered);
-    if (delivered_counter_ != nullptr) delivered_counter_->inc(delivered);
+  if (duplicates > 0) duplicates_.fetch_add(duplicates);
+  // One batched add per counter instead of per-event increments.
+  // Hub-delivered events were matched by the shared index and are not
+  // re-counted here.
+  if (candidates == nullptr) {
+    filter_metrics_.count(picked.size(), dropped);
+    if (dropped > 0) filtered_.fetch_add(dropped);
   }
-  if (batch_callback_ && !matched.empty()) batch_callback_(matched);
+}
+
+void Consumer::hand_over_locked(const core::EventBatch& batch) {
+  // Record ownership for the duration of the callback so a reentrant
+  // acknowledge_processed() (a checkpoint inside on_batch) can tell it
+  // must not touch deliver_mu_ again on this thread.
+  deliver_owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  struct OwnerScope {
+    std::atomic<std::thread::id>& owner;
+    ~OwnerScope() { owner.store(std::thread::id{}, std::memory_order_relaxed); }
+  } owner_scope{deliver_owner_};
+  if (!batch_callback_ && callback_) {
+    for (const core::StdEvent& event : batch.events) callback_(event);
+  }
+  if (!batch.empty()) {
+    delivered_.fetch_add(batch.size());
+    if (delivered_counter_ != nullptr) delivered_counter_->inc(batch.size());
+    if (batch_callback_) batch_callback_(batch);
+  }
   maybe_ack_locked();
+}
+
+void Consumer::deliver_frame(std::span<const std::byte> frame) {
+  auto view = core::view_batch(frame);
+  Status status = view.status();
+  std::vector<EventFields> fields;
+  if (view) {
+    fields.resize(view.value().count);
+    for (std::size_t i = 0; i < fields.size() && status.is_ok(); ++i) {
+      const auto& [offset, length] = view.value().events[i];
+      status = peek_fields(frame.subspan(offset, length), fields[i]);
+    }
+  }
+  if (!status.is_ok()) {
+    FSMON_WARN("consumer", "corrupt batch frame: ", status.to_string());
+    return;
+  }
+  if (fields.empty()) return;
+  std::vector<std::uint32_t> picked;
+  core::EventBatch batch;
+  std::lock_guard lock(deliver_mu_);
+  select_locked(fields, /*candidates=*/nullptr, /*dedup_filter=*/true, /*settle=*/false,
+                picked);
+  // Only the selected events are decoded, straight into the callback
+  // batch. peek_fields already checked every record, so this succeeds.
+  if (auto decoded = core::decode_events(frame, view.value(), picked, batch.events);
+      !decoded.is_ok())
+    FSMON_WARN("consumer", "corrupt batch frame: ", decoded.to_string());
+  hand_over_locked(batch);
+}
+
+void Consumer::deliver_page(std::vector<core::StdEvent> events, bool dedup_filter) {
+  if (events.empty()) return;
+  std::vector<EventFields> fields;
+  fields.reserve(events.size());
+  for (const core::StdEvent& event : events) fields.push_back(fields_of(event));
+  std::vector<std::uint32_t> picked;
+  core::EventBatch batch;
+  std::lock_guard lock(deliver_mu_);
+  select_locked(fields, /*candidates=*/nullptr, dedup_filter, /*settle=*/false, picked);
+  batch.events.reserve(picked.size());
+  for (const std::uint32_t i : picked) batch.events.push_back(std::move(events[i]));
+  hand_over_locked(batch);
 }
 
 void Consumer::maybe_ack_locked() {
@@ -293,14 +391,9 @@ void Consumer::run(std::stop_token stop) {
   for (;;) {
     auto message = receiver_->recv();
     if (!message) break;
-    // Decode straight out of the shared frame bytes — over shm this reads
+    // Read straight out of the shared frame bytes — over shm this reads
     // the ring record in place; the FrameRef keeps it alive until here.
-    auto batch = core::decode_batch(message->payload.bytes());
-    if (!batch) {
-      FSMON_WARN("consumer", "corrupt batch frame: ", batch.status().to_string());
-      continue;
-    }
-    deliver_batch(batch.value());
+    deliver_frame(message->payload.bytes());
   }
 }
 
@@ -326,28 +419,31 @@ void Consumer::run_hub(std::stop_token stop) {
 }
 
 void Consumer::deliver_hub_item(const HubItem& item) {
+  // item.batch is the whole frame, shared with every other subscriber:
+  // all of it is attributed and marked, the matched events are copied.
+  const std::vector<core::StdEvent>& events = item.batch->events;
+  std::vector<EventFields> fields;
+  fields.reserve(events.size());
+  for (const core::StdEvent& event : events) fields.push_back(fields_of(event));
+  std::vector<std::uint32_t> candidates;
+  std::vector<std::uint32_t> picked;
   core::EventBatch batch;
-  batch.events.reserve(item.indices.size());
-  {
-    std::lock_guard lock(deliver_mu_);
-    // Seam insurance: anything at or below the seen watermark was already
-    // delivered by a catch-up replay — duplicates are structurally
-    // impossible with this guard even if a frame races a promotion.
-    const common::EventId floor = seen_.at(item.shard);
-    for (std::uint32_t index : item.indices) {
-      const core::StdEvent& event = item.batch->events[index];
-      if (event.id <= floor) continue;
-      batch.events.push_back(event);
-    }
-    hub_processed_since_ack_ += item.indices.size();
-  }
-  deliver_batch(batch, /*dedup_filter=*/true, /*already_filtered=*/true);
-  // Advance the watermark over the whole frame (matched or not) so acks
-  // keep progressing for consumers whose rules match sparsely.
   std::lock_guard lock(deliver_mu_);
-  seen_.advance(item.shard, item.last_id);
-  last_seen_sum_.store(seen_.sum());
-  maybe_ack_locked();
+  // Seam insurance: anything at or below the seen watermark was already
+  // delivered by a catch-up replay — duplicates are structurally
+  // impossible with this guard even if a frame races a promotion.
+  const common::EventId floor = seen_.at(item.shard);
+  candidates.reserve(item.indices.size());
+  for (const std::uint32_t index : item.indices)
+    if (events[index].id > floor) candidates.push_back(index);
+  hub_processed_since_ack_ += item.indices.size();
+  // Live hub items arrive in each source's sequence order, and the hub
+  // skips only frames that match nothing for this consumer, so every
+  // cookie below a delivered one is settled.
+  select_locked(fields, &candidates, /*dedup_filter=*/true, /*settle=*/true, picked);
+  batch.events.reserve(picked.size());
+  for (const std::uint32_t i : picked) batch.events.push_back(events[i]);
+  hand_over_locked(batch);
 }
 
 void Consumer::catch_up(std::stop_token stop) {
@@ -379,12 +475,8 @@ void Consumer::catch_up(std::stop_token stop) {
     }
     backoff = std::chrono::milliseconds(1);
     const std::size_t got = events.value().size();
-    if (got > 0) {
-      core::EventBatch batch;
-      batch.events = std::move(events.value());
-      replayed += got;
-      deliver_batch(batch, /*dedup_filter=*/true, /*already_filtered=*/false);
-    }
+    replayed += got;
+    deliver_page(std::move(events.value()), /*dedup_filter=*/true);
     if (got < page) {
       if (auto target = options_.hub->try_promote(*hub_sub_, seen_cursor())) {
         replay_to_watermark(*target, stop);
@@ -435,9 +527,7 @@ void Consumer::replay_to_watermark(const VectorCursor& target,
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
-    core::EventBatch batch;
-    batch.events = std::move(events.value());
-    deliver_batch(batch, /*dedup_filter=*/true, /*already_filtered=*/false);
+    deliver_page(std::move(events.value()), /*dedup_filter=*/true);
   }
 }
 
@@ -474,12 +564,11 @@ Result<std::size_t> Consumer::replay_historic(VectorCursor cursor, bool rewind) 
   for (;;) {
     auto events = aggregator_.events_since(cursor, page);
     if (!events) return events.status();
-    if (events.value().empty()) break;
-    core::EventBatch batch;
-    batch.events = std::move(events.value());
-    count += batch.size();
-    deliver_batch(batch, /*dedup_filter=*/!rewind);
-    if (batch.size() < page) break;
+    const std::size_t got = events.value().size();
+    if (got == 0) break;
+    count += got;
+    deliver_page(std::move(events.value()), /*dedup_filter=*/!rewind);
+    if (got < page) break;
   }
   if (replayed_counter_ != nullptr) replayed_counter_->inc(count);
   return count;

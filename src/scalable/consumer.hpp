@@ -19,7 +19,9 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -144,8 +146,26 @@ class Consumer {
   /// Hub mode only: true once the hub evicted this consumer for never
   /// draining its backlog.
   bool evicted() const { return evicted_.load(); }
+  /// Delivered sequences held above the dense prefix of the per-source
+  /// dedup windows: gaps a later replay may still fill. A hub consumer
+  /// keeps none, however sparsely its rules match.
+  std::size_t dedup_pending() const;
 
  private:
+  /// What delivery decides on, viewed in place: read from a frame's
+  /// bytes (live), or borrowed from a StdEvent (hub items, store pages).
+  struct EventFields {
+    common::EventId id = 0;
+    core::EventKind kind = core::EventKind::kCreate;
+    std::uint64_t cookie = 0;
+    std::string_view path;
+    std::string_view source;
+  };
+  static EventFields fields_of(const core::StdEvent& event);
+  /// Read the fields of one embedded event record in place. Fails unless
+  /// the record would also decode whole.
+  static common::Status peek_fields(std::span<const std::byte> record, EventFields& out);
+
   Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
            EventCallback callback, BatchCallback batch_callback);
 
@@ -153,29 +173,45 @@ class Consumer {
   /// Hub-mode worker loop: pops hub items, delivers matched batches, and
   /// runs the demotion/promotion protocol on marker items.
   void run_hub(std::stop_token stop);
+  /// Deliver one live frame: view it once, read each event's fields in
+  /// place, and decode only the events selected for delivery. A frame
+  /// with any malformed record is rejected whole, before anything is
+  /// marked, delivered or acked.
+  void deliver_frame(std::span<const std::byte> frame);
   /// Deliver one hub batch item: the index already matched the events,
-  /// so delivery skips local filtering, guards against ids at or below
-  /// the seen watermark (replay/live seam insurance), and advances the
-  /// per-shard watermark to the frame's unfiltered last id so acks keep
-  /// progressing across frames that matched nothing for this consumer.
+  /// so delivery skips local filtering and guards against ids at or below
+  /// the seen watermark (replay/live seam insurance). Every event of the
+  /// frame advances the watermarks and the dedup windows, so acks and the
+  /// windows keep progressing for consumers whose rules match sparsely.
   void deliver_hub_item(const HubItem& item);
+  /// Deliver one page of owned events (store replay, catch-up); the
+  /// selected ones are moved into the callback batch.
+  void deliver_page(std::vector<core::StdEvent> events, bool dedup_filter);
   /// Demoted catch-up: page the merged store replay through this
   /// consumer's own rules until within promotion range, promote, then
   /// finish replaying to the promotion watermark (gap-free seam).
   void catch_up(std::stop_token stop);
   void replay_to_watermark(const VectorCursor& target, std::stop_token stop);
-  /// All delivery (live and replay) funnels through here: per-event
-  /// filtering and counters, one callback invocation per batch (or the
-  /// per-event shim), one ack check per batch. Serialized by
-  /// `deliver_mu_` so the callback sees at most one thread at a time
-  /// even when replay_historic runs concurrently with the worker.
-  /// With `dedup_filter` false the batch bypasses the duplicate filter
-  /// (an intentional rewind) but still marks the window, so subsequent
-  /// live duplicates of the replayed range are suppressed. With
-  /// `already_filtered` true the events were matched by the shared index
-  /// and local rule evaluation (and its counters) is skipped.
-  void deliver_batch(const core::EventBatch& batch, bool dedup_filter = true,
-                     bool already_filtered = false);
+  /// The delivery core every path above runs, under deliver_mu_ (held
+  /// through hand_over_locked, so the callback sees at most one thread
+  /// at a time even when replay_historic runs concurrently with the
+  /// worker). Advances the per-shard seen watermarks over all `events`,
+  /// decides duplicates for the whole batch before marking any, marks
+  /// every cookie, and appends to `picked` the indices to deliver: fresh
+  /// ones among `candidates` (the hub's matched indices), or when
+  /// `candidates` is null, fresh ones passing the local rule set (counted
+  /// against filter.*). With `dedup_filter` false (an intentional rewind)
+  /// duplicates are delivered but still marked, so later live copies of
+  /// the range are suppressed. With `settle` the events are the next
+  /// part of an in-order stream of which this consumer was sent only
+  /// the frames it matched, so each source's window is closed below
+  /// every cookie marked.
+  void select_locked(std::span<const EventFields> events,
+                     const std::vector<std::uint32_t>* candidates, bool dedup_filter,
+                     bool settle, std::vector<std::uint32_t>& picked);
+  /// Hand the materialized selection to the callback (one batch call, or
+  /// the per-event shim), count it, and run the ack check.
+  void hand_over_locked(const core::EventBatch& batch);
   /// Ack-interval check; caller holds deliver_mu_. Routes the cursor to
   /// the hub (min-ack + credit replenish) or straight to the aggregator.
   void maybe_ack_locked();
@@ -189,12 +225,13 @@ class Consumer {
   /// output sender connects here, whatever carries the frames.
   std::shared_ptr<transport::Receiver> receiver_;
   mutable std::mutex deliver_mu_;  ///< Serializes live and replay deliveries.
-  /// Thread currently inside deliver_batch (holding deliver_mu_ across
-  /// the application callback), or a default id. Lets
+  /// Thread currently inside hand_over_locked (holding deliver_mu_
+  /// across the application callback), or a default id. Lets
   /// acknowledge_processed() detect reentry from the callback — a
   /// try_lock on a std::mutex the calling thread already owns is UB.
   std::atomic<std::thread::id> deliver_owner_{};
-  std::map<std::string, SourceDedupWindow> dedup_;  ///< Guarded by deliver_mu_.
+  /// Per-source dedup windows, found by string_view. Guarded by deliver_mu_.
+  std::map<std::string, SourceDedupWindow, std::less<>> dedup_;
   VectorCursor seen_;   ///< Per-shard last seen ids. Guarded by deliver_mu_.
   VectorCursor acked_;  ///< Per-shard last acked ids. Guarded by deliver_mu_.
   /// Manual-ack mode: the durable cursor published by the application.
@@ -211,8 +248,8 @@ class Consumer {
   std::atomic<bool> running_{false};
   std::atomic<bool> evicted_{false};
   core::FilterMetrics filter_metrics_;  ///< Zeroed when uninstrumented.
-  /// Rules compiled once at subscription: pre-normalized roots, kind
-  /// masks, counters bound (no per-event labelled-metric lookups).
+  /// Rules compiled once at subscription: pre-normalized roots indexed
+  /// for an O(path depth) match, kind masks.
   core::CompiledRuleSet compiled_;
   /// Hub subscription handle (hub mode only).
   std::shared_ptr<FanOutHub::Subscription> hub_sub_;

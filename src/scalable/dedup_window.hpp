@@ -36,13 +36,30 @@ struct SourceDedupWindow {
     if (seq <= watermark) return;
     if (seq == watermark + 1) {
       watermark = seq;
-      auto it = beyond.begin();
-      while (it != beyond.end() && *it == watermark + 1) {
-        watermark = *it;
-        it = beyond.erase(it);
-      }
+      absorb();
     } else {
       beyond.insert(seq);
+    }
+  }
+
+  /// Close the window below `seq`: every lower sequence counts as
+  /// delivered. Only for a stream known to arrive in sequence order,
+  /// where a gap can only be records this consumer was never sent.
+  void settle_below(std::uint64_t seq) {
+    if (seq == 0 || (initialized && seq - 1 <= watermark)) return;
+    initialized = true;
+    watermark = seq - 1;
+    beyond.erase(beyond.begin(), beyond.upper_bound(watermark));
+    absorb();
+  }
+
+ private:
+  /// Fold the entries that now extend the dense prefix into it.
+  void absorb() {
+    auto it = beyond.begin();
+    while (it != beyond.end() && *it == watermark + 1) {
+      watermark = *it;
+      it = beyond.erase(it);
     }
   }
 };

@@ -37,6 +37,13 @@ TEST(NormalizePathTest, Basics) {
   EXPECT_EQ(normalize_path("/../.."), "/");
 }
 
+TEST(NormalizePathTest, IsNormalizedAgreesWithNormalize) {
+  for (const char* path : {"/", "/a", "/a/b", "/a.b/..c", "", "a/b", "/a//b", "/a/",
+                           "/a/./b", "/a/../b", "/..", "/.", "//", "/a/b/.", "/a/b/.."}) {
+    EXPECT_EQ(is_normalized_path(path), normalize_path(path) == path) << path;
+  }
+}
+
 TEST(ParentBaseTest, Decomposition) {
   EXPECT_EQ(parent_path("/a/b"), "/a");
   EXPECT_EQ(parent_path("/a"), "/");

@@ -254,6 +254,92 @@ TEST(BatchCodecTest, PeekKindAndIsDirMatchDecodedEvent) {
   EXPECT_EQ(peek_event_kind(corrupt).code(), common::ErrorCode::kCorrupt);
 }
 
+// Byte offset of the path's u64 length prefix in a serialized event:
+// the fixed 26-byte header, then watch_root's length and bytes.
+std::size_t path_length_offset(const StdEvent& event) {
+  return 26 + 8 + event.watch_root.size();
+}
+
+void write_u64(std::vector<std::byte>& bytes, std::size_t offset, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[offset + static_cast<std::size_t>(i)] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+}
+
+TEST(BatchCodecTest, PeekPathAndIdMatchDecodedEvent) {
+  const StdEvent event = sample_event();
+  const auto bytes = serialize_event(event);
+  auto path = peek_event_path(bytes);
+  ASSERT_TRUE(path.is_ok()) << path.status().to_string();
+  EXPECT_EQ(path.value(), "/okdir/hi.txt");
+  // A view into the record, not a copy.
+  EXPECT_GE(reinterpret_cast<const std::byte*>(path.value().data()), bytes.data());
+  EXPECT_LT(reinterpret_cast<const std::byte*>(path.value().data()),
+            bytes.data() + bytes.size());
+  EXPECT_EQ(peek_event_id(bytes).value(), 42u);
+
+  // Empty watch_root and empty path are valid and peek as such.
+  StdEvent bare = event;
+  bare.watch_root.clear();
+  bare.path.clear();
+  const auto bare_bytes = serialize_event(bare);
+  ASSERT_TRUE(peek_event_path(bare_bytes).is_ok());
+  EXPECT_EQ(peek_event_path(bare_bytes).value(), "");
+  EXPECT_EQ(peek_event_source(bare_bytes).value(), "lustre:MDT2");
+
+  // Non-canonical paths come back verbatim; normalizing is the caller's.
+  StdEvent relative = event;
+  relative.path = "a//b/../c/";
+  EXPECT_EQ(peek_event_path(serialize_event(relative)).value(), "a//b/../c/");
+}
+
+TEST(BatchCodecTest, PeekPathRejectsOutOfBoundsLengths) {
+  const StdEvent event = sample_event();
+  const auto bytes = serialize_event(event);
+  // Too short for the header, for watch_root's prefix, or for the path.
+  for (std::size_t n : {0, 8, 26, 30, 34}) {
+    EXPECT_EQ(peek_event_path(std::span(bytes.data(), n)).code(),
+              common::ErrorCode::kCorrupt)
+        << n;
+  }
+  EXPECT_EQ(peek_event_path(std::span(bytes.data(), path_length_offset(event) + 8 + 3)).code(),
+            common::ErrorCode::kCorrupt);
+  EXPECT_EQ(peek_event_id(std::span(bytes.data(), 7)).code(), common::ErrorCode::kCorrupt);
+
+  // A path length one past the record, or absurdly large.
+  for (std::uint64_t len : {std::uint64_t{bytes.size()}, std::uint64_t{1} << 40,
+                            ~std::uint64_t{0}}) {
+    auto corrupt = bytes;
+    write_u64(corrupt, path_length_offset(event), len);
+    EXPECT_EQ(peek_event_path(corrupt).code(), common::ErrorCode::kCorrupt) << len;
+    EXPECT_EQ(peek_event_source(corrupt).code(), common::ErrorCode::kCorrupt) << len;
+  }
+  // A corrupt watch_root length fails the path peek too.
+  auto corrupt_root = bytes;
+  write_u64(corrupt_root, 26, bytes.size());
+  EXPECT_EQ(peek_event_path(corrupt_root).code(), common::ErrorCode::kCorrupt);
+}
+
+TEST(BatchCodecTest, DecodeEventsDecodesOnlyTheGivenIndices) {
+  const EventBatch original = sample_batch(6);
+  const auto bytes = encode_batch(original);
+  auto view = view_batch(bytes);
+  ASSERT_TRUE(view.is_ok());
+  const auto before = codec_counters();
+  std::vector<StdEvent> out;
+  const std::vector<std::uint32_t> indices{1, 4, 5};
+  ASSERT_TRUE(decode_events(bytes, view.value(), indices, out).is_ok());
+  const auto after = codec_counters();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], original.events[1]);
+  EXPECT_EQ(out[1], original.events[4]);
+  EXPECT_EQ(out[2], original.events[5]);
+  EXPECT_EQ(after.deserialize_calls - before.deserialize_calls, 3u);
+
+  out.clear();
+  ASSERT_TRUE(decode_events(bytes, view.value(), {}, out).is_ok());
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(BatchCodecTest, CodecCountersAdvance) {
   const auto before = codec_counters();
   const auto bytes = encode_batch(sample_batch(3));

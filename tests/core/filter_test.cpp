@@ -81,13 +81,11 @@ TEST(FilterRuleTest, PathNormalizationApplied) {
 }
 
 // Boundary regressions pinned for both the legacy matcher and the
-// compiled rule the subscription index is built from: the two paths must
-// agree byte-for-byte on every edge case.
+// compiled rule set consumers match with: the two must agree
+// byte-for-byte on every edge case.
 
 bool compiled_matches(const FilterRule& rule, const StdEvent& event) {
-  const CompiledRule compiled = CompiledRule::compile(rule);
-  const std::string path = common::normalize_path(event.path);
-  return compiled.matches(path, common::base_name(path), event.kind);
+  return CompiledRuleSet(std::span<const FilterRule>(&rule, 1)).matches(event);
 }
 
 void expect_both(const FilterRule& rule, const std::string& path, bool expected,

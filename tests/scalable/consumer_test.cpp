@@ -1,0 +1,228 @@
+// Consumer delivery core: frames are filtered on their bytes and only
+// delivered events are decoded; a frame with a malformed record is
+// rejected whole; and a hub consumer whose rules match sparsely keeps a
+// bounded dedup window.
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/common/logging.hpp"
+#include "src/scalable/scalable_monitor.hpp"
+#include "src/transport/inproc.hpp"
+
+namespace fsmon::scalable {
+namespace {
+
+using core::EventKind;
+using core::StdEvent;
+using lustre::LustreFs;
+using lustre::LustreFsOptions;
+
+bool wait_until(const std::function<bool()>& done,
+                std::chrono::seconds deadline = std::chrono::seconds(20)) {
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// An in-process transport that remembers the receivers it makes, so a
+/// test can hand a consumer a frame no aggregator would publish.
+class TappedTransport : public transport::Transport {
+ public:
+  transport::TransportKind kind() const override { return inner_.kind(); }
+  std::shared_ptr<transport::Sender> make_sender(std::string name) override {
+    return inner_.make_sender(std::move(name));
+  }
+  std::shared_ptr<transport::Receiver> make_receiver(
+      std::string name, std::size_t high_water_mark,
+      transport::OverflowPolicy policy) override {
+    auto receiver = inner_.make_receiver(name, high_water_mark, policy);
+    std::lock_guard lock(mu_);
+    receivers_[name] = receiver;
+    return receiver;
+  }
+  void attach_metrics(obs::MetricsRegistry* registry) override {
+    inner_.attach_metrics(registry);
+  }
+
+  std::shared_ptr<transport::Receiver> receiver(const std::string& name) {
+    std::lock_guard lock(mu_);
+    return receivers_.at(name);
+  }
+
+ private:
+  transport::InProcTransport inner_;
+  std::mutex mu_;
+  std::map<std::string, std::shared_ptr<transport::Receiver>> receivers_;
+};
+
+/// Captures warning lines for the life of the test.
+class LogCapture {
+ public:
+  LogCapture() {
+    common::set_log_sink([this](common::LogLevel, const std::string& line) {
+      std::lock_guard lock(mu_);
+      lines_.push_back(line);
+    });
+  }
+  ~LogCapture() { common::set_log_sink(nullptr); }
+
+  std::size_t count(const std::string& needle) const {
+    std::lock_guard lock(mu_);
+    std::size_t n = 0;
+    for (const auto& line : lines_) n += line.find(needle) != std::string::npos ? 1 : 0;
+    return n;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::string> lines_;
+};
+
+core::EventBatch three_events() {
+  core::EventBatch batch;
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    StdEvent event;
+    event.id = i;
+    event.kind = EventKind::kCreate;
+    event.watch_root = "/mnt/lustre";
+    event.path = "/keep/f" + std::to_string(i);
+    event.cookie = i;
+    event.source = "lustre:MDT0";
+    batch.events.push_back(std::move(event));
+  }
+  return batch;
+}
+
+TEST(ConsumerDeliveryTest, FrameWithOutOfBoundsPathLengthIsRejectedWhole) {
+  LogCapture log;
+  common::RealClock clock;
+  LustreFs fs(LustreFsOptions{}, clock);
+  TappedTransport tapped;
+  ScalableMonitorOptions o;
+  o.transport = &tapped;
+  ScalableMonitor monitor(fs, o, clock);
+  ConsumerOptions consumer_options;
+  consumer_options.ack_interval = 1;
+  core::FilterRule rule;
+  rule.root = "/keep";
+  consumer_options.rules.push_back(rule);
+  std::mutex mu;
+  std::vector<StdEvent> received;
+  auto consumer = monitor.make_consumer("c", consumer_options,
+                                        [&](const core::EventBatch& batch) {
+                                          std::lock_guard lock(mu);
+                                          for (const auto& e : batch.events)
+                                            received.push_back(e);
+                                        });
+  ASSERT_TRUE(consumer->start().is_ok());
+  auto sender = tapped.make_sender("test");
+  sender->connect(tapped.receiver("c"));
+
+  // Events 1 and 2 are well formed; event 3's path length runs past its
+  // record. The CRC is recomputed over the damage, so only the record
+  // walk can catch it.
+  const core::EventBatch batch = three_events();
+  std::vector<std::byte> frame = core::encode_batch(batch);
+  auto view = core::view_batch(frame);
+  ASSERT_TRUE(view.is_ok());
+  const std::size_t path_len_at =
+      view.value().events[2].first + 26 + 8 + batch.events[2].watch_root.size();
+  for (int i = 0; i < 8; ++i)
+    frame[path_len_at + static_cast<std::size_t>(i)] = std::byte{0x7F};
+  ASSERT_TRUE(core::patch_batch_ids(frame, 1).is_ok());
+  ASSERT_TRUE(core::view_batch(frame).is_ok());  // the CRC holds
+
+  ASSERT_FALSE(sender->send("t", transport::FrameRef::adopt(std::move(frame))).refused());
+  ASSERT_TRUE(wait_until([&] { return log.count("corrupt batch frame") >= 1; }));
+  EXPECT_EQ(log.count("corrupt batch frame"), 1u);
+  // Nothing delivered, seen (so nothing acked) or marked.
+  EXPECT_EQ(consumer->delivered(), 0u);
+  EXPECT_EQ(consumer->seen_cursor().sum(), 0u);
+  EXPECT_EQ(consumer->dedup_pending(), 0u);
+
+  // The same three events, intact: none is taken for a duplicate, so the
+  // rejected frame marked no cookie.
+  ASSERT_FALSE(
+      sender->send("t", transport::FrameRef::adopt(core::encode_batch(batch))).refused());
+  ASSERT_TRUE(wait_until([&] { return consumer->delivered() >= 3; }));
+  consumer->stop();
+  EXPECT_EQ(consumer->delivered(), 3u);
+  EXPECT_EQ(consumer->duplicates_suppressed(), 0u);
+  EXPECT_EQ(consumer->seen_cursor().sum(), 3u);
+  std::lock_guard lock(mu);
+  EXPECT_EQ(received, batch.events);
+}
+
+TEST(ConsumerDeliveryTest, SparseHubConsumerKeepsDedupWindowBounded) {
+  // A hub consumer matching 1/16 of 10,240 events. Each round creates
+  // 150 events it does not match, waits until the hub has pumped them
+  // (the catch-all has them), then 10 it does. The hub sends the sparse
+  // consumer no item for the frames of the first part, so its cookies
+  // jump by 150 each round. A window that only marked what it received
+  // kept every round's events above that gap in `beyond`: 10 more per
+  // round, never drained.
+  common::RealClock clock;
+  LustreFs fs(LustreFsOptions{}, clock);
+  constexpr int kDirs = 16;
+  constexpr int kRounds = 64;
+  constexpr int kSkipped = 150;
+  constexpr int kMatched = 10;
+  for (int d = 0; d < kDirs; ++d) ASSERT_TRUE(fs.mkdir("/d" + std::to_string(d)).is_ok());
+  ScalableMonitorOptions o;
+  o.collector.cache_size = 64;
+  o.fanout_hub = true;
+  ScalableMonitor monitor(fs, o, clock);
+  ASSERT_NE(monitor.hub(), nullptr);
+  ConsumerOptions sparse_options;
+  core::FilterRule rule;
+  rule.root = "/d0";
+  sparse_options.rules.push_back(rule);
+  std::atomic<int> off_route{0};
+  auto sparse = monitor.make_consumer("sparse", sparse_options, [&](const StdEvent& e) {
+    if (e.path.rfind("/d0/", 0) != 0) off_route.fetch_add(1);
+  });
+  auto all = monitor.make_consumer("all", ConsumerOptions{}, [](const StdEvent&) {});
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(sparse->start().is_ok());
+  ASSERT_TRUE(all->start().is_ok());
+
+  std::size_t peak_pending = 0;
+  int created = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kSkipped; ++i, ++created) {
+      const std::string dir = "/d" + std::to_string(1 + i % (kDirs - 1));
+      ASSERT_TRUE(fs.create(dir + "/f" + std::to_string(created)).is_ok());
+    }
+    ASSERT_TRUE(wait_until([&] { return all->delivered() >= static_cast<std::uint64_t>(created); }))
+        << "round " << round << ": catch-all has " << all->delivered() << " of " << created;
+    for (int i = 0; i < kMatched; ++i, ++created)
+      ASSERT_TRUE(fs.create("/d0/f" + std::to_string(created)).is_ok());
+    ASSERT_TRUE(wait_until([&] {
+      return sparse->delivered() >= static_cast<std::uint64_t>((round + 1) * kMatched);
+    })) << "round " << round << ": sparse has " << sparse->delivered();
+    peak_pending = std::max(peak_pending, sparse->dedup_pending());
+  }
+  ASSERT_TRUE(wait_until([&] { return all->delivered() >= static_cast<std::uint64_t>(created); }));
+  sparse->stop();
+  all->stop();
+  monitor.stop();
+  EXPECT_EQ(sparse->delivered(), static_cast<std::uint64_t>(kRounds * kMatched));
+  EXPECT_EQ(all->delivered(), static_cast<std::uint64_t>(created));
+  EXPECT_EQ(off_route.load(), 0);
+  EXPECT_EQ(sparse->duplicates_suppressed(), 0u);
+  EXPECT_LT(peak_pending, static_cast<std::size_t>(kMatched));
+  EXPECT_LT(sparse->dedup_pending(), static_cast<std::size_t>(kMatched));
+}
+
+}  // namespace
+}  // namespace fsmon::scalable

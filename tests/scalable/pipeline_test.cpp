@@ -234,6 +234,48 @@ TEST_F(PipelineTest, ExactlyOneSerializationPerEventEndToEnd) {
             static_cast<std::uint64_t>(kEvents));
 }
 
+TEST_F(PipelineTest, FilteredConsumerDecodesOnlyTheEventsItDelivers) {
+  // A filtered consumer matches on fields read straight out of the frame
+  // bytes and deserializes an event only when it delivers it: one
+  // deserialize call per delivered event, none for the ones it drops.
+  // Without a store nothing else in the pipeline decodes.
+  LustreFs fs(LustreFsOptions{}, clock);
+  fs.mkdir("/keep");
+  fs.mkdir("/drop");
+  ScalableMonitor monitor(fs, options(), clock);
+  ConsumerOptions consumer_options;
+  core::FilterRule rule;
+  rule.root = "/keep";
+  consumer_options.rules.push_back(rule);
+  std::atomic<int> kept{0};
+  auto consumer = monitor.make_consumer("c", consumer_options,
+                                        [&](const StdEvent&) { kept.fetch_add(1); });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
+
+  constexpr int kKept = 8;
+  constexpr int kDropped = 56;
+  const auto before = core::codec_counters();
+  for (int i = 0; i < kKept + kDropped; ++i)
+    fs.create((i % 8 == 0 ? "/keep/f" : "/drop/f") + std::to_string(i));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (consumer->last_seen_id() < kKept + kDropped &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  consumer->stop();
+  monitor.stop();
+  const auto after = core::codec_counters();
+
+  ASSERT_EQ(kept.load(), kKept);
+  EXPECT_EQ(consumer->delivered(), static_cast<std::uint64_t>(kKept));
+  EXPECT_EQ(consumer->filtered_out(), static_cast<std::uint64_t>(kDropped));
+  EXPECT_EQ(after.deserialize_calls - before.deserialize_calls,
+            static_cast<std::uint64_t>(kKept));
+  EXPECT_EQ(after.serialize_calls - before.serialize_calls,
+            static_cast<std::uint64_t>(kKept + kDropped));
+}
+
 TEST_F(PipelineTest, BatchCallbackReceivesMatchingEventsOnce) {
   LustreFs fs(LustreFsOptions{}, clock);
   ScalableMonitor monitor(fs, options(), clock);

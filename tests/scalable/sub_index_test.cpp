@@ -155,6 +155,7 @@ FilterRule random_rule(std::mt19937& rng) {
       "/",      "/foo",       "/foo/",   "/foobar",    "/foo/bar",
       "/a",     "/a/b",       "/a/b/c",  "/data",      "/data/run1",
       "//a//b", "/a/./b",     "/a/../b", "/deep/x/y/z", "/foo/bar/baz",
+      "a/b",    "foo/",       "/../foo", "/../..",     "/a/b/",
   };
   static const char* kPatterns[] = {"", "", "", "*.h5", "f*", "?", "*a*"};
   std::uniform_int_distribution<std::size_t> root_dist(0, std::size(kRoots) - 1);
@@ -182,6 +183,11 @@ StdEvent random_event(std::mt19937& rng) {
       "/a/b",       "/a/b/c",      "/a/b/c/d",     "/data/run1/out.h5",
       "/data/run2/out.txt",        "/deep/x/y/z/w", "/b",
       "//foo//bar", "/a/./b/../c",
+      // Relative, trailing-slash and above-the-root forms, which the
+      // compiled matcher must normalize exactly as the legacy one does.
+      "a/b",        "foo/bar/x",   "/foo/",        "/a/b/",
+      "/..",        "/../a",       "/../../foo/bar", "a/../../b",
+      "",           "/a/b/.",      "ParentDirectoryRemoved",
   };
   std::uniform_int_distribution<std::size_t> path_dist(0, std::size(kPaths) - 1);
   std::uniform_int_distribution<int> kind_dist(0, 7);
@@ -190,10 +196,13 @@ StdEvent random_event(std::mt19937& rng) {
 
 TEST(SubIndexPropertyTest, IndexDeliveryIsByteIdenticalToLegacyFiltering) {
   std::mt19937 rng(20260808);
-  for (int round = 0; round < 20; ++round) {
+  for (int round = 0; round < 40; ++round) {
     SubscriptionIndex index;
     std::uniform_int_distribution<int> sub_count_dist(1, 24);
-    std::uniform_int_distribution<int> rule_count_dist(0, 4);
+    // Odd rounds give every subscriber a large rule set (32-64 rules over
+    // 20 roots, so roots repeat within a set).
+    std::uniform_int_distribution<int> rule_count_dist(round % 2 == 0 ? 0 : 32,
+                                                       round % 2 == 0 ? 4 : 64);
     const int sub_count = sub_count_dist(rng);
 
     std::vector<std::vector<FilterRule>> rule_sets(sub_count);
@@ -229,6 +238,14 @@ TEST(SubIndexPropertyTest, IndexDeliveryIsByteIdenticalToLegacyFiltering) {
         if (indexed) ++cursor;
         ASSERT_EQ(compiled, legacy)
             << "round " << round << " sub " << s << " event " << events[e].path;
+        // The consumer's live path: the same match on fields peeked out
+        // of the encoded event.
+        const auto bytes = core::serialize_event(events[e]);
+        const auto path = core::peek_event_path(bytes);
+        const auto kind = core::peek_event_kind(bytes);
+        ASSERT_TRUE(path.is_ok() && kind.is_ok());
+        ASSERT_EQ(compiled_set.matches(path.value(), kind.value()), legacy)
+            << "round " << round << " sub " << s << " encoded event " << events[e].path;
         ASSERT_EQ(indexed, legacy)
             << "round " << round << " sub " << s << " event " << events[e].path
             << " kind " << static_cast<int>(events[e].kind);

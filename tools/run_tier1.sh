@@ -114,6 +114,7 @@ if $run_tsan; then
   tsan_filter+=":FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
   tsan_filter+=":ByteIdentityTest.*"
   tsan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
+  tsan_filter+=":ConsumerDeliveryTest.*"
   ./build-tsan/tests/fsmon_tests --gtest_filter="$tsan_filter"
   (cd build-tsan && ctest -L concurrency --output-on-failure)
   (cd build-tsan && ctest -L nsindex --output-on-failure)
@@ -127,10 +128,12 @@ if $run_asan; then
   cmake --build build-asan -j "$(nproc)" \
     --target fsmon_tests fsmon_concurrency_tests fsmon_chaos_tests fsmon_nsindex_tests
   # The transport suites shuttle zero-copy frames across threads and
-  # carriers, so run them under ASan as well as the concurrency label.
+  # carriers, and consumers read events in place out of those frames, so
+  # run them under ASan as well as the concurrency label.
   asan_filter="FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
   asan_filter+=":ByteIdentityTest.*:FrameTest.*:TcpReceiverTest.*"
   asan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
+  asan_filter+=":PipelineTest.*:ConsumerDeliveryTest.*"
   ./build-asan/tests/fsmon_tests --gtest_filter="$asan_filter"
   (cd build-asan && ctest -L concurrency --output-on-failure)
   (cd build-asan && ctest -L nsindex --output-on-failure)
