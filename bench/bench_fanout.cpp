@@ -1,8 +1,9 @@
 // Fan-out scaling bench: shared subscription index vs per-consumer rule
 // evaluation, plus the slow-consumer isolation check.
 //
-// Part 1 — matcher sweep. The legacy topology evaluates every
-// subscriber's rule set against every event: O(subscribers x events)
+// Part 1 — matcher sweep. Per-consumer filtering (the paper's Section IV
+// topology) evaluates every subscriber's rule set against every event:
+// O(subscribers x events)
 // regardless of how many events actually match. The SubscriptionIndex
 // walks the path trie once per event and yields subscriber-id bitsets,
 // so cost grows with MATCHED deliveries, not subscriber count. The
@@ -13,7 +14,7 @@
 // the index's per-event cost at 10k subscribers exceeds 2x its cost at
 // 10 subscribers for any fraction.
 //
-// Part 2 — stalled-consumer isolation. A FanOutHub pipeline runs the
+// Part 2 — stalled-consumer isolation. The hub pipeline runs the
 // same workload twice: healthy consumers only, then with a deliberately
 // stalled sibling (its callback blocks until the run ends). Credit-based
 // flow control must demote the stalled consumer instead of letting its
@@ -86,6 +87,8 @@ SweepResult run_sweep(std::size_t subscribers, double match_fraction) {
     index.add_subscriber(std::span<const CompiledRule>(&compiled, 1));
   }
   const std::vector<StdEvent> events = make_batch(match_fraction);
+  std::vector<scalable::MatchKey> keys;
+  for (const StdEvent& event : events) keys.push_back({event.path, event.kind});
 
   SweepResult result;
   result.subscribers = subscribers;
@@ -93,12 +96,12 @@ SweepResult run_sweep(std::size_t subscribers, double match_fraction) {
 
   // Index path: one trie evaluation per batch, reused DeliverySet.
   DeliverySet out;
-  index.match_batch(events, out);  // warm-up
+  index.match_batch(keys, out);  // warm-up
   for (const auto id : out.touched())
     result.deliveries_per_batch += out.indices_for(id).size();
   constexpr int kIndexIters = 2000;
   const auto index_start = std::chrono::steady_clock::now();
-  for (int iter = 0; iter < kIndexIters; ++iter) index.match_batch(events, out);
+  for (int iter = 0; iter < kIndexIters; ++iter) index.match_batch(keys, out);
   const auto index_done = std::chrono::steady_clock::now();
   result.index_ns_per_event =
       std::chrono::duration<double, std::nano>(index_done - index_start).count() /
@@ -140,7 +143,6 @@ double run_pipeline(const std::filesystem::path& store_dir, bool with_stalled,
   lustre::LustreFs fs(lustre::LustreFsOptions{}, clock);
   scalable::ScalableMonitorOptions options;
   options.collector.cache_size = 64;
-  options.fanout_hub = true;
   options.flow.credit_window = 256;
   eventstore::EventStoreOptions store;
   store.directory = store_dir;

@@ -412,6 +412,25 @@ Result<bool> peek_event_is_dir(std::span<const std::byte> event_bytes) {
   return event_bytes[9] != std::byte{0};
 }
 
+Status peek_event_fields(std::span<const std::byte> event_bytes, EventFields& out) {
+  auto id = peek_event_id(event_bytes);
+  if (!id) return id.status();
+  auto kind = peek_event_kind(event_bytes);
+  if (!kind) return kind.status();
+  auto cookie = peek_event_cookie(event_bytes);
+  if (!cookie) return cookie.status();
+  auto path = peek_event_path(event_bytes);
+  if (!path) return path.status();
+  auto source = peek_event_source(event_bytes);
+  if (!source) return source.status();
+  // With the peeks above this is every check deserialize_event makes.
+  if (source.value().data() + source.value().size() !=
+      reinterpret_cast<const char*>(event_bytes.data() + event_bytes.size()))
+    return Status(ErrorCode::kCorrupt, "event: bytes after the source string");
+  out = {id.value(), kind.value(), cookie.value(), path.value(), source.value()};
+  return Status::ok();
+}
+
 std::vector<std::byte> rebuild_batch(
     std::span<const std::byte> frame,
     const std::vector<std::pair<std::size_t, std::size_t>>& kept) {

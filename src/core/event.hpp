@@ -214,6 +214,21 @@ common::Result<EventKind> peek_event_kind(std::span<const std::byte> event_bytes
 /// Read the is_dir flag of a serialized event (fixed offset 9).
 common::Result<bool> peek_event_is_dir(std::span<const std::byte> event_bytes);
 
+/// The fields fan-out, filtering and dedup decide on, viewed in place
+/// (out of a serialized record, or borrowed from a StdEvent).
+struct EventFields {
+  common::EventId id = 0;
+  EventKind kind = EventKind::kCreate;
+  std::uint64_t cookie = 0;
+  std::string_view path;
+  std::string_view source;
+};
+
+/// Read the EventFields of a serialized event in place. Fails unless the
+/// record would also decode whole, so a frame whose records all pass
+/// can later decode any subset of them without error.
+common::Status peek_event_fields(std::span<const std::byte> event_bytes, EventFields& out);
+
 /// Re-frame a subset of an already-encoded batch: `kept` lists (offset,
 /// length) event byte ranges within `frame` (as produced by view_batch),
 /// and the result is a fresh valid batch frame containing exactly those

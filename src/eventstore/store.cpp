@@ -527,16 +527,17 @@ std::vector<StoredEvent> EventStore::events_since(common::EventId after_id,
   return out;
 }
 
-void EventStore::mark_reported(common::EventId up_to_id) {
+common::EventId EventStore::mark_reported(common::EventId up_to_id) {
   std::lock_guard lock(mu_);
   const common::EventId target = std::min(up_to_id, last_id_);
-  if (target <= reported_upto_) return;
+  if (target <= reported_upto_) return reported_upto_;
   reported_upto_ = target;
   // No fsync: a lost reported watermark only causes conservative
   // re-replay of already-acked events, which consumers dedup.
   if (auto s = write_id_file_atomic(reported_watermark_path(), reported_upto_, false);
       !s.is_ok())
     FSMON_WARN("eventstore", "cannot persist reported watermark: ", s.to_string());
+  return reported_upto_;
 }
 
 std::size_t EventStore::purge_reported() {

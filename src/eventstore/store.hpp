@@ -107,8 +107,11 @@ class EventStore {
       const;
 
   /// Flag all events with id <= `up_to_id` as reported. O(1): advances a
-  /// persisted watermark instead of touching records.
-  void mark_reported(common::EventId up_to_id);
+  /// persisted watermark instead of touching records. The watermark never
+  /// passes last_id(): an ack for ids not yet appended is clamped, and
+  /// the return value (the watermark now in force) tells the caller how
+  /// much of its ack the store took.
+  common::EventId mark_reported(common::EventId up_to_id);
 
   /// Drop reported records from the head of the store and delete any
   /// segment files left with no live records. Returns records removed.

@@ -73,7 +73,6 @@ Status IndexConsumer::start() {
   copts.ack_interval = options_.ack_interval;
   copts.replay_page = options_.replay_page;
   copts.metrics = options_.metrics;
-  copts.hub = options_.hub;
   consumer_ = std::make_unique<scalable::Consumer>(
       aggregator_, name_, std::move(copts),
       scalable::Consumer::BatchCallback(

@@ -70,8 +70,8 @@ Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Cloc
                                           "events/s");
     fanout_receivers_gauge_ = &registry.gauge(
         "aggregator.fanout_receivers", labels,
-        "Receivers connected to this shard's output (1 in hub mode, one "
-        "per consumer in the legacy per-consumer topology)",
+        "Receivers connected to this shard's output (the fan-out hub, "
+        "once a consumer has subscribed)",
         "receivers");
     fanout_lag_hist_ = &registry.histogram(
         "aggregator.fanout_lag_us", labels,
@@ -529,7 +529,6 @@ void Aggregator::persist_loop(std::stop_token) {
     if (crashed_.load(std::memory_order_relaxed)) break;
     auto first = persist_queue_.pop();
     if (!first) break;
-    group.clear();
     group.push_back(std::move(*first));
     // Group commit: coalesce whatever is already queued (and optionally
     // wait wal_group_commit_us for stragglers) up to the byte budget,
@@ -546,6 +545,10 @@ void Aggregator::persist_loop(std::stop_token) {
       }
     }
     persist_group(group);
+    // Drop the committed frames before blocking on the queue again: over
+    // shm each one pins its ring record, and a ring filled by one group
+    // would otherwise wedge the sender that has to refill the queue.
+    group.clear();
   }
 }
 
@@ -576,8 +579,8 @@ Result<std::vector<core::StdEvent>> Aggregator::events_since(common::EventId aft
   return out;
 }
 
-void Aggregator::acknowledge(common::EventId up_to_id) {
-  if (store_ != nullptr) store_->mark_reported(up_to_id);
+common::EventId Aggregator::acknowledge(common::EventId up_to_id) {
+  return store_ != nullptr ? store_->mark_reported(up_to_id) : up_to_id;
 }
 
 std::size_t Aggregator::purge() { return store_ == nullptr ? 0 : store_->purge_reported(); }

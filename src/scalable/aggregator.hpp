@@ -151,7 +151,7 @@ class Aggregator {
   /// Fan-in receiver — the shard router's senders connect here (and so
   /// can any other sender made on transport()).
   const std::shared_ptr<transport::Receiver>& input() const { return input_; }
-  /// Connect a downstream receiver (consumer, fan-out hub) to the output.
+  /// Connect a downstream receiver (the tier's fan-out hub) to the output.
   void connect_output(const std::shared_ptr<transport::Receiver>& receiver) {
     output_->connect(receiver);
     if (fanout_receivers_gauge_ != nullptr)
@@ -164,8 +164,12 @@ class Aggregator {
       common::EventId after_id, std::size_t max_events = SIZE_MAX) const;
 
   /// Consumers acknowledge delivery; acknowledged events are removed at
-  /// the next purge cycle.
-  void acknowledge(common::EventId up_to_id);
+  /// the next purge cycle. Returns the acknowledged watermark in force:
+  /// the store clamps an ack to the ids it has appended, so an ack that
+  /// outruns persistence is taken only in part and must be re-sent.
+  /// Without a store there is nothing to hold back and `up_to_id` is
+  /// returned.
+  common::EventId acknowledge(common::EventId up_to_id);
   std::size_t purge();
 
   common::EventId last_event_id() const { return next_id_.load() - 1; }

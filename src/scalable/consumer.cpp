@@ -1,6 +1,7 @@
 #include "src/scalable/consumer.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/common/logging.hpp"
 
@@ -8,6 +9,24 @@ namespace fsmon::scalable {
 
 using common::Result;
 using common::Status;
+
+namespace {
+
+core::EventFields fields_of(const core::StdEvent& event) {
+  return {event.id, event.kind, event.cookie, event.path, event.source};
+}
+
+bool dedupable(const core::EventFields& event) {
+  return event.cookie != 0 && !event.source.empty();
+}
+
+bool reached(const VectorCursor& cursor, const VectorCursor& target) {
+  for (std::size_t k = 0; k < target.size(); ++k)
+    if (cursor.at(k) < target.at(k)) return false;
+  return true;
+}
+
+}  // namespace
 
 Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
                    EventCallback callback)
@@ -22,25 +41,14 @@ Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOpti
 Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
                    EventCallback callback, BatchCallback batch_callback)
     : aggregator_(aggregator),
+      hub_(aggregator.hub()),
       name_(std::move(name)),
       options_(std::move(options)),
       callback_(std::move(callback)),
       batch_callback_(std::move(batch_callback)),
-      receiver_(options.hub != nullptr
-                    ? nullptr
-                    : aggregator.transport().make_receiver(name_, options.high_water_mark,
-                                                           options.overflow_policy)),
-      seen_(aggregator.shard_count()),
       acked_(aggregator.shard_count()),
       ack_floor_(aggregator.shard_count()) {
-  if (receiver_ != nullptr) {
-    receiver_->subscribe("");  // receive everything; filter locally
-    // One inbox fed by every shard: frames from different shards
-    // interleave at the queue, but each frame is whole, so per-shard order
-    // is preserved (each shard's sender pushes in its id order).
-    for (std::size_t k = 0; k < aggregator_.shard_count(); ++k)
-      aggregator_.shard(k).connect_output(receiver_);
-  }
+  if (options_.replay_page == 0) options_.replay_page = 4096;
   if (options_.metrics != nullptr) {
     auto& registry = *options_.metrics;
     const obs::Labels labels{{"consumer", name_}};
@@ -54,34 +62,27 @@ Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOpti
     delivery_lag_gauge_ = &registry.gauge(
         "consumer.delivery_lag_events", labels,
         "Sum of shard head ids minus events seen by this consumer", "events");
-    overflow_dropped_gauge_ = &registry.gauge(
-        "consumer.overflow_dropped", labels,
-        "Events lost to the high-water mark (kDropNewest only)", "events");
     batch_size_hist_ = &registry.histogram("consumer.batch_size", labels,
                                            "Events per batch received by this consumer",
                                            "events");
   }
   // Compile the rule set once at subscription: normalized roots indexed
-  // for an O(path depth) match and kind masks, so the delivery hot path
-  // never normalizes a rule root or scans the rules per event.
+  // for an O(path depth) match and kind masks. The hub's index takes the
+  // same compiled rules for live delivery.
   compiled_ = core::CompiledRuleSet(options_.rules);
-  if (options_.hub != nullptr)
-    hub_sub_ = options_.hub->subscribe(name_, compiled_.rules());
+  hub_sub_ = hub_.subscribe(compiled_.rules());
+  // Everything up to the subscription watermark is historic: reachable
+  // through replay_historic, neither seen nor passed over.
+  seen_ = hub_.acked(*hub_sub_);
+  last_seen_sum_.store(seen_.sum());
 }
 
 Consumer::~Consumer() {
   stop();
-  if (hub_sub_ != nullptr) options_.hub->unsubscribe(*hub_sub_);
+  hub_.unsubscribe(*hub_sub_);
 }
 
-bool Consumer::matches(const core::StdEvent& event) const {
-  return compiled_.matches(event);
-}
-
-FlowState Consumer::flow_state() const {
-  if (hub_sub_ == nullptr) return FlowState::kLive;
-  return options_.hub->state(*hub_sub_);
-}
+FlowState Consumer::flow_state() const { return hub_.state(*hub_sub_); }
 
 VectorCursor Consumer::seen_cursor() const {
   std::lock_guard lock(deliver_mu_);
@@ -95,114 +96,38 @@ std::size_t Consumer::dedup_pending() const {
   return pending;
 }
 
-Consumer::EventFields Consumer::fields_of(const core::StdEvent& event) {
-  return {event.id, event.kind, event.cookie, event.path, event.source};
-}
-
-Status Consumer::peek_fields(std::span<const std::byte> record, EventFields& out) {
-  auto id = core::peek_event_id(record);
-  if (!id) return id.status();
-  auto kind = core::peek_event_kind(record);
-  if (!kind) return kind.status();
-  auto cookie = core::peek_event_cookie(record);
-  if (!cookie) return cookie.status();
-  auto path = core::peek_event_path(record);
-  if (!path) return path.status();
-  auto source = core::peek_event_source(record);
-  if (!source) return source.status();
-  // With the peeks above this is every check deserialize_event makes, so
-  // a frame whose records all pass decodes whole.
-  if (source.value().data() + source.value().size() !=
-      reinterpret_cast<const char*>(record.data() + record.size()))
-    return Status(common::ErrorCode::kCorrupt, "event: bytes after the source string");
-  out = {id.value(), kind.value(), cookie.value(), path.value(), source.value()};
-  return Status::ok();
-}
-
-void Consumer::select_locked(std::span<const EventFields> events,
-                             const std::vector<std::uint32_t>* candidates,
-                             bool dedup_filter, bool settle,
-                             std::vector<std::uint32_t>& picked) {
-  // A live frame carries one shard's events; a merged replay page may
-  // mix shards. Either way the owning shard is recomputed from the
-  // event source through the shared map — the same rule the router
-  // applied on the write path.
-  const std::size_t shard_count = aggregator_.shard_count();
-  std::size_t shard = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (shard_count > 1 && (i == 0 || events[i].source != events[i - 1].source))
-      shard = aggregator_.map().shard_of(events[i].source);
-    seen_.advance(shard, events[i].id);
-  }
-  last_seen_sum_.store(seen_.sum());
-  if (delivery_lag_gauge_ != nullptr) {
-    const auto head = aggregator_.last_event_id_sum();
-    const auto seen = seen_.sum();
-    delivery_lag_gauge_->set(head > seen ? static_cast<std::int64_t>(head - seen) : 0);
-    // Hub mode has no private receiver (receiver_ is null): overflow is
-    // the hub's credit window, not a transport high-water mark.
-    overflow_dropped_gauge_->set(
-        receiver_ != nullptr ? static_cast<std::int64_t>(receiver_->dropped()) : 0);
-    batch_size_hist_->record(events.size());
-  }
+SourceDedupWindow& Consumer::window_locked(std::string_view source) {
   // Consecutive events nearly always share a source: one map lookup per
   // run of them, by string_view.
-  std::string_view cached_source;
-  SourceDedupWindow* cached = nullptr;
-  auto window_for = [&](std::string_view source) -> SourceDedupWindow& {
-    if (cached == nullptr || source != cached_source) {
-      auto it = dedup_.find(source);
-      if (it == dedup_.end()) it = dedup_.emplace(std::string(source), SourceDedupWindow{}).first;
-      cached = &it->second;
-      cached_source = source;
-    }
-    return *cached;
-  };
-  auto dedupable = [](const EventFields& event) {
-    return event.cookie != 0 && !event.source.empty();
-  };
-  const std::size_t considered = candidates != nullptr ? candidates->size() : events.size();
-  auto index_at = [&](std::size_t k) {
-    return candidates != nullptr ? (*candidates)[k] : static_cast<std::uint32_t>(k);
-  };
-  // Duplicate verdicts are made for the whole batch before any marking:
-  // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
-  // travel in one frame, so both are fresh or both are duplicates.
-  std::vector<std::uint8_t> fresh(considered, 1);
+  if (window_ == dedup_.end() || window_->first != source) {
+    window_ = dedup_.find(source);
+    if (window_ == dedup_.end())
+      window_ = dedup_.emplace(std::string(source), SourceDedupWindow{}).first;
+  }
+  return window_->second;
+}
+
+void Consumer::pick_fresh_locked(std::span<const core::EventFields> events,
+                                 bool dedup_filter, std::vector<std::uint32_t>& picked) {
   std::uint64_t duplicates = 0;
-  if (dedup_filter) {
-    for (std::size_t k = 0; k < considered; ++k) {
-      const EventFields& event = events[index_at(k)];
-      if (dedupable(event) && !window_for(event.source).fresh(event.cookie)) {
-        fresh[k] = 0;
-        ++duplicates;
-      }
-    }
-  }
-  for (const EventFields& event : events) {
-    if (!dedupable(event)) continue;
-    SourceDedupWindow& window = window_for(event.source);
-    if (settle) window.settle_below(event.cookie);
-    window.mark(event.cookie);
-  }
-  std::uint64_t dropped = 0;
-  for (std::size_t k = 0; k < considered; ++k) {
-    if (fresh[k] == 0) continue;
-    const std::uint32_t i = index_at(k);
-    if (candidates == nullptr && !compiled_.matches(events[i].path, events[i].kind)) {
-      ++dropped;
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    const core::EventFields& event = events[i];
+    if (dedup_filter && dedupable(event) && !window_locked(event.source).fresh(event.cookie)) {
+      ++duplicates;
       continue;
     }
     picked.push_back(i);
   }
   if (duplicates > 0) duplicates_.fetch_add(duplicates);
-  // One batched add per counter instead of per-event increments.
-  // Hub-delivered events were matched by the shared index and are not
-  // re-counted here.
-  if (candidates == nullptr) {
-    filter_metrics_.count(picked.size(), dropped);
-    if (dropped > 0) filtered_.fetch_add(dropped);
-  }
+}
+
+void Consumer::observe_locked(std::size_t batch_events) {
+  last_seen_sum_.store(seen_.sum());
+  if (delivery_lag_gauge_ == nullptr) return;
+  const auto head = aggregator_.last_event_id_sum();
+  const auto seen = seen_.sum();
+  delivery_lag_gauge_->set(head > seen ? static_cast<std::int64_t>(head - seen) : 0);
+  if (batch_events > 0) batch_size_hist_->record(batch_events);
 }
 
 void Consumer::hand_over_locked(const core::EventBatch& batch) {
@@ -225,50 +150,101 @@ void Consumer::hand_over_locked(const core::EventBatch& batch) {
   maybe_ack_locked();
 }
 
-void Consumer::deliver_frame(std::span<const std::byte> frame) {
-  auto view = core::view_batch(frame);
-  Status status = view.status();
-  std::vector<EventFields> fields;
-  if (view) {
-    fields.resize(view.value().count);
-    for (std::size_t i = 0; i < fields.size() && status.is_ok(); ++i) {
-      const auto& [offset, length] = view.value().events[i];
-      status = peek_fields(frame.subspan(offset, length), fields[i]);
-    }
+void Consumer::deliver_item(const HubItem& item) {
+  const HubFrame& frame = *item.frame;
+  const auto bytes = frame.frame.bytes();
+  // The pump checked every record whole, so these in-place reads cannot
+  // fail; only the matched records are read at all.
+  std::vector<core::EventFields> matched(item.indices.size());
+  for (std::size_t k = 0; k < matched.size(); ++k) {
+    const auto& [offset, length] = frame.view.events[item.indices[k]];
+    (void)core::peek_event_fields(bytes.subspan(offset, length), matched[k]);
   }
-  if (!status.is_ok()) {
-    FSMON_WARN("consumer", "corrupt batch frame: ", status.to_string());
-    return;
-  }
-  if (fields.empty()) return;
   std::vector<std::uint32_t> picked;
   core::EventBatch batch;
   std::lock_guard lock(deliver_mu_);
-  select_locked(fields, /*candidates=*/nullptr, /*dedup_filter=*/true, /*settle=*/false,
-                picked);
-  // Only the selected events are decoded, straight into the callback
-  // batch. peek_fields already checked every record, so this succeeds.
-  if (auto decoded = core::decode_events(frame, view.value(), picked, batch.events);
+  hub_processed_since_ack_ += item.indices.size();
+  // Duplicates are judged by (source, cookie), never by id: a record a
+  // store replay already delivered (catch-up, restart) comes back with
+  // the same cookie, while ids are reassigned when an aggregator shard
+  // loses its unpersisted tail and its collectors re-publish.
+  pick_fresh_locked(matched, /*dedup_filter=*/true, picked);
+  // Once per frame: the watermark moves to the frame's last id, and the
+  // events between it and the previous one that are not delivered here
+  // were passed over — this frame's unmatched events and the frames the
+  // hub did not send. Live frames arrive in each source's sequence
+  // order, so every cookie up to the frame's highest is settled.
+  const common::EventId floor = seen_.at(frame.shard);
+  if (frame.last_id > floor) {
+    const auto above = static_cast<std::uint64_t>(std::count_if(
+        matched.begin(), matched.end(), [&](const auto& e) { return e.id > floor; }));
+    const std::uint64_t passed_over = frame.last_id - floor - above;
+    seen_.advance(frame.shard, frame.last_id);
+    filtered_.fetch_add(passed_over);
+    filter_metrics_.count(above, passed_over);
+  }
+  for (const auto& [source, cookie] : frame.max_cookies)
+    window_locked(source).settle_below(cookie + 1);
+  observe_locked(frame.view.count);
+  // Only the picked events are decoded, straight into the callback batch.
+  std::vector<std::uint32_t> records;
+  records.reserve(picked.size());
+  for (const std::uint32_t p : picked) records.push_back(item.indices[p]);
+  if (auto decoded = core::decode_events(bytes, frame.view, records, batch.events);
       !decoded.is_ok())
     FSMON_WARN("consumer", "corrupt batch frame: ", decoded.to_string());
   hand_over_locked(batch);
 }
 
-void Consumer::deliver_page(std::vector<core::StdEvent> events, bool dedup_filter) {
+void Consumer::advance_to_head(const VectorCursor& head) {
+  std::lock_guard lock(deliver_mu_);
+  // Every frame up to `head` that matched was delivered before this
+  // item; the rest of the span was passed over.
+  std::uint64_t passed_over = 0;
+  for (std::size_t k = 0; k < head.size(); ++k) {
+    if (head.at(k) <= seen_.at(k)) continue;
+    passed_over += head.at(k) - seen_.at(k);
+    seen_.advance(k, head.at(k));
+  }
+  if (passed_over == 0) return;
+  filtered_.fetch_add(passed_over);
+  filter_metrics_.count(0, passed_over);
+  observe_locked(0);
+  maybe_ack_locked();
+}
+
+void Consumer::deliver_page(std::vector<core::StdEvent> events, const VectorCursor& reached,
+                            bool dedup_filter) {
   if (events.empty()) return;
-  std::vector<EventFields> fields;
-  fields.reserve(events.size());
-  for (const core::StdEvent& event : events) fields.push_back(fields_of(event));
+  std::vector<core::EventFields> eligible_fields;
+  std::vector<std::uint32_t> eligible;
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    if (!compiled_.matches(events[i].path, events[i].kind)) continue;
+    eligible.push_back(i);
+    eligible_fields.push_back(fields_of(events[i]));
+  }
+  const std::uint64_t passed_over = events.size() - eligible.size();
   std::vector<std::uint32_t> picked;
   core::EventBatch batch;
   std::lock_guard lock(deliver_mu_);
-  select_locked(fields, /*candidates=*/nullptr, dedup_filter, /*settle=*/false, picked);
+  for (std::size_t k = 0; k < reached.size(); ++k) seen_.advance(k, reached.at(k));
+  pick_fresh_locked(eligible_fields, dedup_filter, picked);
+  // Pages need not follow live order (a rewind replays what live
+  // delivery already marked), so every cookie is marked one by one.
+  // With the duplicate filter off (an intentional rewind) duplicates
+  // are delivered but still marked, so later live copies of the range
+  // are suppressed.
+  for (const core::StdEvent& event : events)
+    if (dedupable(fields_of(event))) window_locked(event.source).mark(event.cookie);
+  if (passed_over > 0) filtered_.fetch_add(passed_over);
+  filter_metrics_.count(eligible.size(), passed_over);
+  observe_locked(events.size());
   batch.events.reserve(picked.size());
-  for (const std::uint32_t i : picked) batch.events.push_back(std::move(events[i]));
+  for (const std::uint32_t p : picked) batch.events.push_back(std::move(events[eligible[p]]));
   hand_over_locked(batch);
 }
 
-void Consumer::maybe_ack_locked() {
+void Consumer::maybe_ack_locked(bool force) {
   if (options_.manual_acks) {
     // Durability stays with the application: acknowledge only up to the
     // published floor, clamped to what was actually seen and never
@@ -287,27 +263,18 @@ void Consumer::maybe_ack_locked() {
       floor.last_ids[k] = std::min(floor.at(k), seen_.at(k));
       floor.last_ids[k] = std::max(floor.at(k), acked_.at(k));
     }
-    if (hub_sub_ != nullptr) {
-      if (hub_processed_since_ack_ >= options_.ack_interval || dirty) {
-        options_.hub->acknowledge(*hub_sub_, floor, hub_processed_since_ack_);
-        hub_processed_since_ack_ = 0;
-        acked_ = floor;
-      }
-    } else if (dirty) {
-      aggregator_.acknowledge(floor);
+    if (hub_processed_since_ack_ >= options_.ack_interval || dirty || force) {
+      hub_.acknowledge(*hub_sub_, floor, hub_processed_since_ack_);
+      hub_processed_since_ack_ = 0;
       acked_ = floor;
     }
     return;
   }
-  if (options_.ack_interval == 0 ||
-      seen_.sum() - acked_.sum() < options_.ack_interval)
+  if (force ? seen_.sum() == acked_.sum()
+            : options_.ack_interval == 0 || seen_.sum() - acked_.sum() < options_.ack_interval)
     return;
-  if (hub_sub_ != nullptr) {
-    options_.hub->acknowledge(*hub_sub_, seen_, hub_processed_since_ack_);
-    hub_processed_since_ack_ = 0;
-  } else {
-    aggregator_.acknowledge(seen_);
-  }
+  hub_.acknowledge(*hub_sub_, seen_, hub_processed_since_ack_);
+  hub_processed_since_ack_ = 0;
   acked_ = seen_;
 }
 
@@ -336,47 +303,29 @@ void Consumer::acknowledge_processed(const VectorCursor& cursor) {
 }
 
 Status Consumer::start() {
-  if (running_.load()) return Status::ok();
-  running_.store(true);
+  if (worker_.joinable()) return Status::ok();
   worker_ = std::jthread([this](std::stop_token stop) { run(stop); });
   return Status::ok();
 }
 
 void Consumer::stop() {
-  if (!running_.load()) return;
-  if (receiver_ != nullptr) receiver_->close();
-  if (worker_.joinable()) {
-    worker_.request_stop();
-    worker_.join();
-  }
-  running_.store(false);
+  if (!worker_.joinable()) return;
+  worker_.request_stop();
+  worker_.join();
 }
 
-void Consumer::crash() {
-  if (!running_.load()) return;
-  // Fail-stop: identical teardown to stop() except semantically abrupt —
-  // frames queued in the inbox die with the process; nothing further is
-  // acknowledged.
-  if (receiver_ != nullptr) receiver_->close();
-  if (worker_.joinable()) {
-    worker_.request_stop();
-    worker_.join();
-  }
-  running_.store(false);
-}
+void Consumer::crash() { stop(); }
 
 Status Consumer::restart() {
-  if (running_.load()) return Status::ok();
-  if (receiver_ != nullptr) receiver_->reopen();
+  if (worker_.joinable()) return Status::ok();
   VectorCursor resume;
   {
     std::lock_guard lock(deliver_mu_);
     resume = acked_;
   }
-  // Replay BEFORE the worker starts: if a live frame arrived first it
-  // would initialize the dedup watermark at a high index and the replayed
-  // prefix would be misread as duplicates (lost events). Replaying first
-  // seeds the window from the oldest unacked record.
+  // Replay BEFORE the worker starts, so the dedup windows seed from the
+  // oldest unacked record; the queued live items the replay covers are
+  // then duplicates.
   if (auto replayed = replay_historic(std::move(resume), /*rewind=*/true); !replayed) {
     return replayed.status();
   }
@@ -384,29 +333,16 @@ Status Consumer::restart() {
 }
 
 void Consumer::run(std::stop_token stop) {
-  if (hub_sub_ != nullptr) {
-    run_hub(stop);
-    return;
-  }
-  for (;;) {
-    auto message = receiver_->recv();
-    if (!message) break;
-    // Read straight out of the shared frame bytes — over shm this reads
-    // the ring record in place; the FrameRef keeps it alive until here.
-    deliver_frame(message->payload.bytes());
-  }
-}
-
-void Consumer::run_hub(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    auto item = options_.hub->pop(*hub_sub_, std::chrono::milliseconds(100));
-    if (!item) {
-      if (evicted_.load()) break;
-      continue;  // timeout (or unsubscribe tearing down) — re-check stop
-    }
+  // A restart can find the subscription demoted with its marker already
+  // consumed before the crash.
+  catch_up(stop);
+  while (auto item = hub_.pop(*hub_sub_, stop)) {
     switch (item->kind) {
       case HubItem::Kind::kBatch:
-        deliver_hub_item(*item);
+        deliver_item(*item);
+        break;
+      case HubItem::Kind::kWatermark:
+        advance_to_head(item->head);
         break;
       case HubItem::Kind::kDemoted:
         catch_up(stop);
@@ -418,56 +354,20 @@ void Consumer::run_hub(std::stop_token stop) {
   }
 }
 
-void Consumer::deliver_hub_item(const HubItem& item) {
-  // item.batch is the whole frame, shared with every other subscriber:
-  // all of it is attributed and marked, the matched events are copied.
-  const std::vector<core::StdEvent>& events = item.batch->events;
-  std::vector<EventFields> fields;
-  fields.reserve(events.size());
-  for (const core::StdEvent& event : events) fields.push_back(fields_of(event));
-  std::vector<std::uint32_t> candidates;
-  std::vector<std::uint32_t> picked;
-  core::EventBatch batch;
-  std::lock_guard lock(deliver_mu_);
-  // Seam insurance: anything at or below the seen watermark was already
-  // delivered by a catch-up replay — duplicates are structurally
-  // impossible with this guard even if a frame races a promotion.
-  const common::EventId floor = seen_.at(item.shard);
-  candidates.reserve(item.indices.size());
-  for (const std::uint32_t index : item.indices)
-    if (events[index].id > floor) candidates.push_back(index);
-  hub_processed_since_ack_ += item.indices.size();
-  // Live hub items arrive in each source's sequence order, and the hub
-  // skips only frames that match nothing for this consumer, so every
-  // cookie below a delivered one is settled.
-  select_locked(fields, &candidates, /*dedup_filter=*/true, /*settle=*/true, picked);
-  batch.events.reserve(picked.size());
-  for (const std::uint32_t i : picked) batch.events.push_back(events[i]);
-  hand_over_locked(batch);
-}
-
-void Consumer::catch_up(std::stop_token stop) {
-  // Demoted: live delivery stopped at the seen watermark. Page the
-  // merged store replay through this consumer's own rules until within
-  // promotion range of the live head, then finish to the promotion
-  // watermark. The paging never runs under deliver_mu_.
-  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
-  std::size_t replayed = 0;
+Result<std::size_t> Consumer::page_store(VectorCursor& cursor, bool dedup_filter,
+                                         std::stop_token stop,
+                                         const std::function<bool(std::size_t)>& done) {
+  std::size_t count = 0;
   auto backoff = std::chrono::milliseconds(1);
   while (!stop.stop_requested()) {
-    if (options_.hub->state(*hub_sub_) == FlowState::kEvicted) {
-      evicted_.store(true);
-      return;
-    }
-    VectorCursor cursor = seen_cursor();
-    auto events = aggregator_.events_since(cursor, page);
+    auto events = aggregator_.events_since(cursor, options_.replay_page);
     if (!events) {
+      if (!stop.stop_possible()) return events.status();
       // A transient store error (a shard mid-restart, a paged read
-      // racing a purge) must not end catch-up: the hub sends the
-      // kDemoted marker exactly once, so returning while still demoted
-      // would strand this consumer — never promoted, pinning the
-      // min-ack cursor forever. Back off and retry until stopped.
-      FSMON_WARN("consumer", "catch-up replay failed (retrying): ",
+      // racing a purge) must not end a catch-up: the hub sends the
+      // kDemoted marker once, and giving up short of the promotion
+      // watermark would leave a silent gap.
+      FSMON_WARN("consumer", "store replay failed (retrying): ",
                  events.status().to_string());
       std::this_thread::sleep_for(backoff);
       backoff = std::min(backoff * 2, std::chrono::milliseconds(100));
@@ -475,59 +375,43 @@ void Consumer::catch_up(std::stop_token stop) {
     }
     backoff = std::chrono::milliseconds(1);
     const std::size_t got = events.value().size();
-    replayed += got;
-    deliver_page(std::move(events.value()), /*dedup_filter=*/true);
-    if (got < page) {
-      if (auto target = options_.hub->try_promote(*hub_sub_, seen_cursor())) {
-        replay_to_watermark(*target, stop);
-        if (replayed_counter_ != nullptr && replayed > 0)
-          replayed_counter_->inc(replayed);
-        return;
-      }
-      // Still too far behind (the head keeps moving), or the persister
-      // has not yet caught up with the published head. Keep paging.
-      if (got == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    count += got;
+    deliver_page(std::move(events.value()), cursor, dedup_filter);
+    if (done(got)) break;
   }
+  if (replayed_counter_ != nullptr && count > 0) replayed_counter_->inc(count);
+  return count;
 }
 
-void Consumer::replay_to_watermark(const VectorCursor& target,
-                                   std::stop_token stop) {
-  // Promotion happened at `target`: frames matched after it are queued
-  // live, so replaying exactly up to it closes the demotion gap with no
-  // overlap. The store may trail the published head briefly (persistence
-  // is async) — retry empty pages until the cursor reaches the target.
-  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
-  auto backoff = std::chrono::milliseconds(1);
-  while (!stop.stop_requested()) {
-    VectorCursor cursor = seen_cursor();
-    bool reached = true;
-    for (std::size_t k = 0; k < target.size(); ++k) {
-      if (cursor.at(k) < target.at(k)) {
-        reached = false;
-        break;
+void Consumer::catch_up(std::stop_token stop) {
+  // Demoted: live delivery stopped at the seen watermark. Page the
+  // merged store replay until within promotion range of the live head,
+  // promote, then finish exactly to the promotion watermark: frames
+  // matched after it are queued live, so the seam has no gap and no
+  // overlap.
+  if (hub_.state(*hub_sub_) != FlowState::kDemoted) return;
+  std::optional<VectorCursor> target;
+  VectorCursor cursor = seen_cursor();
+  (void)page_store(cursor, /*dedup_filter=*/true, stop, [&](std::size_t got) {
+    if (!target) {
+      if (hub_.state(*hub_sub_) == FlowState::kEvicted) {
+        evicted_.store(true);
+        return true;
       }
+      if (got >= options_.replay_page) return false;  // more backlog
+      target = hub_.try_promote(*hub_sub_, cursor);
     }
-    if (reached) return;
-    auto events = aggregator_.events_since(cursor, page);
-    if (!events) {
-      // Giving up short of the promotion watermark would leave a silent
-      // gap: the hub already resumed live delivery above `target`, so
-      // the unreplayed remainder would never arrive. Retry — the seam
-      // is only closed once the cursor reaches the target.
-      FSMON_WARN("consumer", "promotion replay failed (retrying): ",
-                 events.status().to_string());
-      std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, std::chrono::milliseconds(100));
-      continue;
-    }
-    backoff = std::chrono::milliseconds(1);
-    if (events.value().empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    deliver_page(std::move(events.value()), /*dedup_filter=*/true);
+    if (target && reached(cursor, *target)) return true;
+    // Still too far behind (the head keeps moving), or the persister
+    // has not yet caught up with the published head.
+    if (got == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return false;
+  });
+  if (target && reached(cursor, *target)) {
+    // Acknowledge past the promotion watermark now: until it does, the
+    // hub keeps this consumer's real cursor in the min-ack.
+    std::lock_guard lock(deliver_mu_);
+    maybe_ack_locked(/*force=*/true);
   }
 }
 
@@ -552,26 +436,13 @@ Result<std::size_t> Consumer::replay_historic(VectorCursor cursor, bool rewind) 
   if (rewind) {
     std::lock_guard lock(deliver_mu_);
     dedup_.clear();
+    window_ = dedup_.end();
   }
   // Page through the merged view instead of materializing the whole
   // backlog: a consumer that lagged by millions of events replays in
   // `replay_page`-sized merged pages, each fetched (and freed) in turn.
-  // The page fetch never runs under deliver_mu_ — the stores are paged
-  // first, delivery locks second — so a slow callback can stall
-  // delivery but never deadlock the store paging of any shard.
-  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
-  std::size_t count = 0;
-  for (;;) {
-    auto events = aggregator_.events_since(cursor, page);
-    if (!events) return events.status();
-    const std::size_t got = events.value().size();
-    if (got == 0) break;
-    count += got;
-    deliver_page(std::move(events.value()), /*dedup_filter=*/!rewind);
-    if (got < page) break;
-  }
-  if (replayed_counter_ != nullptr) replayed_counter_->inc(count);
-  return count;
+  return page_store(cursor, /*dedup_filter=*/!rewind, std::stop_token{},
+                    [&](std::size_t got) { return got < options_.replay_page; });
 }
 
 }  // namespace fsmon::scalable

@@ -1,15 +1,15 @@
 // Consumer service (paper Section IV "Consumption").
 //
-// Subscribes to every aggregator shard's output, filters locally ("this
-// filtering of events is not done at the aggregator in order to
-// alleviate potential overheads if a large number of consumers were to
-// ask to monitor different files and directories"), and delivers
-// matching events to the application callback. After a failure, a
-// consumer resumes by replaying historic events from the shards'
-// reliable stores starting at its last acknowledged vector cursor —
-// one watermark per shard, since each shard assigns its own dense id
-// sequence. Replay is the merged, timestamp-ordered view served by
-// ShardedAggregator::events_since.
+// Subscribes its rules to the aggregator tier's fan-out hub and delivers
+// the matching events to the application callback. The paper filters at
+// each consumer; here the hub's shared index does the matching once per
+// batch for every consumer, and each consumer decodes only the events it
+// delivers (see flow_control.hpp). After a failure, a consumer resumes
+// by replaying historic events from the shards' reliable stores starting
+// at its last acknowledged vector cursor — one watermark per shard,
+// since each shard assigns its own dense id sequence. Replay is the
+// merged, timestamp-ordered view served by ShardedAggregator::events_since,
+// filtered through the consumer's own rules.
 #pragma once
 
 #include <atomic>
@@ -18,8 +18,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -33,13 +33,6 @@
 namespace fsmon::scalable {
 
 struct ConsumerOptions {
-  std::size_t high_water_mark = 1 << 16;
-  /// What happens when this consumer falls behind the aggregator: kBlock
-  /// (lossless back-pressure, the default) or kDropNewest (a slow
-  /// consumer loses events rather than stalling the publisher — it can
-  /// recover them later via replay_historic, the paper's fault-tolerance
-  /// path).
-  common::OverflowPolicy overflow_policy = common::OverflowPolicy::kBlock;
   /// Paths/rules this consumer cares about; empty = everything.
   std::vector<core::FilterRule> rules;
   /// Acknowledge to the aggregator every N delivered events (counted
@@ -52,14 +45,6 @@ struct ConsumerOptions {
   /// Observability registry; null = uninstrumented. Registers consumer.*
   /// and filter.* labelled consumer=<name>.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Fan-out hub to ride instead of a private transport receiver. Null
-  /// (default) keeps the legacy topology: own receiver on every shard
-  /// output, per-consumer filtering. Non-null subscribes this consumer's
-  /// compiled rules into the hub's shared index: matching happens once
-  /// per batch hub-side, and the hub's credit window demotes this
-  /// consumer to store replay if it stops draining. Must outlive the
-  /// consumer.
-  FanOutHub* hub = nullptr;
   /// Manual acknowledgement: the consumer never advances the store ack
   /// cursor past what the application has declared durable via
   /// acknowledge_processed(). A stateful applier (the namespace index)
@@ -88,17 +73,19 @@ class Consumer {
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
+  /// Start the delivery thread. The subscription exists from
+  /// construction: the hub queues this consumer's matches (up to its
+  /// credit window) whether or not it has started.
   common::Status start();
   void stop();
 
-  /// Fail-stop this consumer: the worker exits, queued frames are lost
-  /// with it, nothing further is acked. restart() recovers.
+  /// Fail-stop this consumer: the worker exits and nothing further is
+  /// acked. What the hub queued for it stays queued. restart() recovers.
   void crash();
-  /// Restart after crash(): reopen the inbox (empty — a real restart has
-  /// no process memory), start the worker, and replay from the last
-  /// acknowledged cursor so nothing delivered-and-acked repeats and
-  /// nothing unacked is lost. Replayed and live deliveries overlapping
-  /// during catch-up are collapsed by the per-source dedup window.
+  /// Restart after crash(): replay from the last acknowledged cursor so
+  /// nothing unacked is lost, then start the worker. Queued live items
+  /// the replay already covered are collapsed by the per-source dedup
+  /// window.
   common::Status restart();
 
   /// Replay events since `after_id` (or since the last acknowledged
@@ -117,8 +104,6 @@ class Consumer {
   /// gives the explicit-after_id semantics above (dedup reset + bypass).
   common::Result<std::size_t> replay_historic(VectorCursor cursor, bool rewind);
 
-  bool matches(const core::StdEvent& event) const;
-
   /// Manual-ack mode (ConsumerOptions::manual_acks): publish the cursor
   /// the application has made durable. The consumer acknowledges up to
   /// it (clamped to the seen watermark, never regressing) at its normal
@@ -127,104 +112,91 @@ class Consumer {
   void acknowledge_processed(const VectorCursor& cursor);
 
   std::uint64_t delivered() const { return delivered_.load(); }
+  /// Events this consumer's rules passed over below its seen watermark.
+  /// The hub sends a consumer only the frames it matched; the events of
+  /// skipped frames are counted when its next frame or the hub's next
+  /// watermark item arrives.
   std::uint64_t filtered_out() const { return filtered_.load(); }
   /// Duplicate events suppressed by the per-source dedup window.
   std::uint64_t duplicates_suppressed() const { return duplicates_.load(); }
-  /// Events lost to the high-water mark (only with kDropNewest).
-  std::uint64_t dropped() const {
-    return receiver_ != nullptr ? receiver_->dropped() : 0;
-  }
   /// Sum of the per-shard seen watermarks — total distinct events this
   /// consumer has observed; equal to the plain last id with one shard.
   common::EventId last_seen_id() const { return last_seen_sum_.load(); }
   /// Snapshot of the per-shard seen cursor.
   VectorCursor seen_cursor() const;
   const std::string& name() const { return name_; }
-  /// Hub mode only: current flow-control state of this consumer's
-  /// subscription (kLive when not in hub mode).
+  /// Current flow-control state of this consumer's hub subscription.
   FlowState flow_state() const;
-  /// Hub mode only: true once the hub evicted this consumer for never
-  /// draining its backlog.
+  /// True once the hub evicted this consumer for never draining its
+  /// backlog.
   bool evicted() const { return evicted_.load(); }
   /// Delivered sequences held above the dense prefix of the per-source
-  /// dedup windows: gaps a later replay may still fill. A hub consumer
-  /// keeps none, however sparsely its rules match.
+  /// dedup windows: gaps a later replay may still fill. Live delivery
+  /// keeps none, however sparsely the rules match.
   std::size_t dedup_pending() const;
 
  private:
-  /// What delivery decides on, viewed in place: read from a frame's
-  /// bytes (live), or borrowed from a StdEvent (hub items, store pages).
-  struct EventFields {
-    common::EventId id = 0;
-    core::EventKind kind = core::EventKind::kCreate;
-    std::uint64_t cookie = 0;
-    std::string_view path;
-    std::string_view source;
-  };
-  static EventFields fields_of(const core::StdEvent& event);
-  /// Read the fields of one embedded event record in place. Fails unless
-  /// the record would also decode whole.
-  static common::Status peek_fields(std::span<const std::byte> record, EventFields& out);
-
   Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
            EventCallback callback, BatchCallback batch_callback);
 
+  /// The live loop: pops hub items, delivers matched batches, moves the
+  /// seen watermark on watermark items, and runs the demotion/promotion
+  /// protocol on marker items.
   void run(std::stop_token stop);
-  /// Hub-mode worker loop: pops hub items, delivers matched batches, and
-  /// runs the demotion/promotion protocol on marker items.
-  void run_hub(std::stop_token stop);
-  /// Deliver one live frame: view it once, read each event's fields in
-  /// place, and decode only the events selected for delivery. A frame
-  /// with any malformed record is rejected whole, before anything is
-  /// marked, delivered or acked.
-  void deliver_frame(std::span<const std::byte> frame);
-  /// Deliver one hub batch item: the index already matched the events,
-  /// so delivery skips local filtering and guards against ids at or below
-  /// the seen watermark (replay/live seam insurance). Every event of the
-  /// frame advances the watermarks and the dedup windows, so acks and the
-  /// windows keep progressing for consumers whose rules match sparsely.
-  void deliver_hub_item(const HubItem& item);
-  /// Deliver one page of owned events (store replay, catch-up); the
-  /// selected ones are moved into the callback batch.
-  void deliver_page(std::vector<core::StdEvent> events, bool dedup_filter);
-  /// Demoted catch-up: page the merged store replay through this
-  /// consumer's own rules until within promotion range, promote, then
-  /// finish replaying to the promotion watermark (gap-free seam).
+  /// Deliver one hub item: the index matched the events already, so the
+  /// item's matched records are read in place, judged against the dedup
+  /// windows, and only the picked ones decoded. Watermarks and windows
+  /// advance once for the whole frame.
+  void deliver_item(const HubItem& item);
+  /// A watermark item: move the seen watermark to the hub's head,
+  /// counting the span as passed over.
+  void advance_to_head(const VectorCursor& head);
+  /// Deliver one page of owned store events through this consumer's own
+  /// rules; the picked ones are moved into the callback batch. `reached`
+  /// is the paging cursor, already advanced past the page.
+  void deliver_page(std::vector<core::StdEvent> events, const VectorCursor& reached,
+                    bool dedup_filter);
+  /// The one store-paging loop behind replay_historic, catch-up and the
+  /// promotion seam: page the merged replay from `cursor` (advanced past
+  /// every page) through deliver_page until `done(got)` says stop. With a
+  /// stoppable `stop`, a store error is retried with backoff until stop
+  /// is requested — a demoted consumer must never strand itself; without
+  /// one the error is returned. The paging never runs under deliver_mu_.
+  common::Result<std::size_t> page_store(VectorCursor& cursor, bool dedup_filter,
+                                         std::stop_token stop,
+                                         const std::function<bool(std::size_t)>& done);
+  /// Demoted catch-up: page the store through this consumer's own rules
+  /// until within promotion range, promote, then finish replaying to the
+  /// promotion watermark (gap-free seam).
   void catch_up(std::stop_token stop);
-  void replay_to_watermark(const VectorCursor& target, std::stop_token stop);
-  /// The delivery core every path above runs, under deliver_mu_ (held
-  /// through hand_over_locked, so the callback sees at most one thread
-  /// at a time even when replay_historic runs concurrently with the
-  /// worker). Advances the per-shard seen watermarks over all `events`,
-  /// decides duplicates for the whole batch before marking any, marks
-  /// every cookie, and appends to `picked` the indices to deliver: fresh
-  /// ones among `candidates` (the hub's matched indices), or when
-  /// `candidates` is null, fresh ones passing the local rule set (counted
-  /// against filter.*). With `dedup_filter` false (an intentional rewind)
-  /// duplicates are delivered but still marked, so later live copies of
-  /// the range are suppressed. With `settle` the events are the next
-  /// part of an in-order stream of which this consumer was sent only
-  /// the frames it matched, so each source's window is closed below
-  /// every cookie marked.
-  void select_locked(std::span<const EventFields> events,
-                     const std::vector<std::uint32_t>* candidates, bool dedup_filter,
-                     bool settle, std::vector<std::uint32_t>& picked);
+  /// Duplicate verdicts for one delivery, under deliver_mu_: appends to
+  /// `picked` the indices among `events` that are fresh (all of them
+  /// when `dedup_filter` is false, an intentional rewind). Verdicts are
+  /// made for the whole delivery before the caller marks anything: a
+  /// rename's halves share one cookie and arrive together, so both are
+  /// fresh or both are duplicates.
+  void pick_fresh_locked(std::span<const core::EventFields> events, bool dedup_filter,
+                         std::vector<std::uint32_t>& picked);
+  SourceDedupWindow& window_locked(std::string_view source);
+  /// Publish the seen watermark and the lag/batch instruments.
+  void observe_locked(std::size_t batch_events);
   /// Hand the materialized selection to the callback (one batch call, or
   /// the per-event shim), count it, and run the ack check.
   void hand_over_locked(const core::EventBatch& batch);
   /// Ack-interval check; caller holds deliver_mu_. Routes the cursor to
-  /// the hub (min-ack + credit replenish) or straight to the aggregator.
-  void maybe_ack_locked();
+  /// the hub (min-ack + credit replenish); `force` acks whatever is new.
+  void maybe_ack_locked(bool force = false);
 
   ShardedAggregator& aggregator_;
+  FanOutHub& hub_;
   std::string name_;
   ConsumerOptions options_;
   EventCallback callback_;
   BatchCallback batch_callback_;
-  /// Receiving endpoint on the aggregator tier's transport: every shard's
-  /// output sender connects here, whatever carries the frames.
-  std::shared_ptr<transport::Receiver> receiver_;
-  mutable std::mutex deliver_mu_;  ///< Serializes live and replay deliveries.
+  /// Serializes live and replay deliveries, held through
+  /// hand_over_locked, so the callback sees at most one thread at a time
+  /// even when replay_historic runs concurrently with the worker.
+  mutable std::mutex deliver_mu_;
   /// Thread currently inside hand_over_locked (holding deliver_mu_
   /// across the application callback), or a default id. Lets
   /// acknowledge_processed() detect reentry from the callback — a
@@ -232,6 +204,8 @@ class Consumer {
   std::atomic<std::thread::id> deliver_owner_{};
   /// Per-source dedup windows, found by string_view. Guarded by deliver_mu_.
   std::map<std::string, SourceDedupWindow, std::less<>> dedup_;
+  /// Last window window_locked() found; dedup_.end() when none.
+  std::map<std::string, SourceDedupWindow, std::less<>>::iterator window_ = dedup_.end();
   VectorCursor seen_;   ///< Per-shard last seen ids. Guarded by deliver_mu_.
   VectorCursor acked_;  ///< Per-shard last acked ids. Guarded by deliver_mu_.
   /// Manual-ack mode: the durable cursor published by the application.
@@ -245,13 +219,12 @@ class Consumer {
   std::atomic<std::uint64_t> filtered_{0};
   std::atomic<std::uint64_t> duplicates_{0};
   std::atomic<std::uint64_t> last_seen_sum_{0};
-  std::atomic<bool> running_{false};
   std::atomic<bool> evicted_{false};
   core::FilterMetrics filter_metrics_;  ///< Zeroed when uninstrumented.
   /// Rules compiled once at subscription: pre-normalized roots indexed
-  /// for an O(path depth) match, kind masks.
+  /// for an O(path depth) match, kind masks. Filters store pages; the
+  /// hub's index holds the same rules for live delivery.
   core::CompiledRuleSet compiled_;
-  /// Hub subscription handle (hub mode only).
   std::shared_ptr<FanOutHub::Subscription> hub_sub_;
   /// Hub-delivered events processed since the last ack — replenishes the
   /// credit window at ack time. Guarded by deliver_mu_.
@@ -259,7 +232,6 @@ class Consumer {
   obs::Counter* delivered_counter_ = nullptr;
   obs::Counter* replayed_counter_ = nullptr;
   obs::Gauge* delivery_lag_gauge_ = nullptr;
-  obs::Gauge* overflow_dropped_gauge_ = nullptr;
   obs::HistogramMetric* batch_size_hist_ = nullptr;
 };
 

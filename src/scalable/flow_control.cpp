@@ -1,17 +1,55 @@
 #include "src/scalable/flow_control.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/common/logging.hpp"
+#include "src/scalable/sharded_aggregator.hpp"
 
 namespace fsmon::scalable {
 
 using common::Status;
 
 namespace {
-/// Pump frames between unsolicited min-ack forwards (covers the
-/// nobody-is-acking case; every consumer ack still forwards eagerly).
-constexpr std::size_t kIdleForwardInterval = 64;
+/// Min-ack forwarding tick: the pump forwards this often, busy or idle,
+/// so consumer acks, an ack the stores clamped (it outran persistence)
+/// and the watermark of subscriptions that never ack all reach the
+/// stores on one schedule.
+constexpr auto kForwardInterval = std::chrono::milliseconds(10);
+
+/// A demoted subscription whose acknowledged cursor has not moved for
+/// this long has stopped draining; one that still acks, however far
+/// behind, is catching up and is left alone.
+constexpr auto kStallGrace = std::chrono::seconds(1);
+
+/// Read one record of `frame` in place into its match key, and fold its
+/// id and (source, cookie) into the frame summary consumers advance by.
+Status peek_record(std::span<const std::byte> record, HubFrame& frame, MatchKey& key) {
+  core::EventFields fields;
+  if (Status s = core::peek_event_fields(record, fields); !s.is_ok()) return s;
+  key = {fields.path, fields.kind};
+  frame.last_id = std::max(frame.last_id, fields.id);
+  if (fields.cookie == 0 || fields.source.empty()) return Status::ok();
+  auto it = std::find_if(frame.max_cookies.begin(), frame.max_cookies.end(),
+                         [&](const auto& entry) { return entry.first == fields.source; });
+  if (it == frame.max_cookies.end()) {
+    frame.max_cookies.emplace_back(fields.source, fields.cookie);
+  } else {
+    it->second = std::max(it->second, fields.cookie);
+  }
+  return Status::ok();
+}
+
+/// Copy a frame borrowed from a transport (a shm ring record) into owned
+/// bytes. The view holds offsets and stays valid; the source names are
+/// re-pointed into the copy.
+void own_bytes(HubFrame& frame) {
+  const auto* old_base = reinterpret_cast<const char*>(frame.frame.bytes().data());
+  frame.frame = transport::FrameRef::copy(frame.frame.bytes());
+  const auto* base = reinterpret_cast<const char*>(frame.frame.bytes().data());
+  for (auto& [source, cookie] : frame.max_cookies)
+    source = std::string_view(base + (source.data() - old_base), source.size());
+}
 }  // namespace
 
 std::string_view to_string(FlowState state) {
@@ -48,6 +86,7 @@ FlowMetrics FlowMetrics::create(obs::MetricsRegistry& registry,
 FanOutHub::FanOutHub(ShardedAggregator& aggregator, FlowControlOptions options)
     : aggregator_(aggregator),
       options_(options),
+      can_demote_(aggregator.shard(0).store() != nullptr),
       index_(options.metrics != nullptr
                  ? SubIndexMetrics::create(*options.metrics)
                  : SubIndexMetrics{}),
@@ -58,45 +97,39 @@ FanOutHub::FanOutHub(ShardedAggregator& aggregator, FlowControlOptions options)
     options_.promote_lag = std::max<std::uint64_t>(1, options_.credit_window / 4);
   if (options_.metrics != nullptr)
     metrics_ = FlowMetrics::create(*options_.metrics);
+}
+
+FanOutHub::~FanOutHub() {
+  std::shared_ptr<transport::Receiver> receiver;
+  {
+    std::lock_guard lock(mu_);
+    receiver = receiver_;
+  }
+  if (receiver == nullptr) return;
+  receiver->close();
+  pump_thread_.request_stop();
+  if (pump_thread_.joinable()) pump_thread_.join();
+}
+
+void FanOutHub::attach_locked() {
   receiver_ = aggregator_.transport().make_receiver(
       "fanout-hub", options_.high_water_mark, transport::OverflowPolicy::kBlock);
   receiver_->subscribe("");
   for (std::size_t k = 0; k < aggregator_.shard_count(); ++k)
     aggregator_.shard(k).connect_output(receiver_);
-  // Start from the current live watermark: events published before a
-  // subscription exists are historic, same as a legacy consumer that
-  // connects late.
-  heads_ = aggregator_.head_cursor();
-}
-
-FanOutHub::~FanOutHub() { stop(); }
-
-Status FanOutHub::start() {
-  if (running_.load()) return Status::ok();
-  running_.store(true);
+  // Events published before the first subscription are historic, as for
+  // any subscription made later. Read after connecting: a frame that
+  // raced the connect is either below this watermark or pumped live.
+  const VectorCursor head = aggregator_.head_cursor();
+  for (std::size_t k = 0; k < head.size(); ++k) heads_.advance(k, head.at(k));
   pump_thread_ = std::jthread([this](std::stop_token stop) { pump(stop); });
-  return Status::ok();
-}
-
-void FanOutHub::stop() {
-  // Close unconditionally: the constructor already connected this
-  // receiver to every shard, so a hub destroyed without start() (or
-  // stopped twice) would otherwise leave a kBlock inbox open that can
-  // fill up and wedge the shard senders. close() is idempotent.
-  receiver_->close();
-  if (!running_.load()) return;
-  if (pump_thread_.joinable()) {
-    pump_thread_.request_stop();
-    pump_thread_.join();
-  }
-  running_.store(false);
 }
 
 std::shared_ptr<FanOutHub::Subscription> FanOutHub::subscribe(
-    std::string name, std::span<const core::CompiledRule> rules) {
+    std::span<const core::CompiledRule> rules) {
   auto sub = std::make_shared<Subscription>();
   std::lock_guard lock(mu_);
-  sub->name_ = std::move(name);
+  if (receiver_ == nullptr) attach_locked();
   sub->id_ = index_.add_subscriber(rules);
   sub->state_ = FlowState::kLive;
   sub->credits_ = static_cast<std::int64_t>(options_.credit_window);
@@ -108,6 +141,8 @@ std::shared_ptr<FanOutHub::Subscription> FanOutHub::subscribe(
   // race on the index lock, the frame arrives live as an early
   // (pre-watermark) delivery, which is harmless: fresh, deduped, no gap.
   if (pending_valid_) sub->acked_.advance(pending_shard_, pending_last_id_);
+  sub->owed_ = sub->acked_;
+  sub->announced_ = sub->acked_;
   if (subs_.size() <= sub->id_) subs_.resize(sub->id_ + 1);
   subs_[sub->id_] = sub;
   ++live_count_;
@@ -127,7 +162,6 @@ void FanOutHub::unsubscribe(Subscription& sub) {
         sub.state_ = FlowState::kEvicted;
       }
       subs_[sub.id_] = nullptr;
-      forward_acks_locked();
       update_gauges_locked();
     }
   }
@@ -136,18 +170,17 @@ void FanOutHub::unsubscribe(Subscription& sub) {
   sub.queue_cv_.notify_all();
 }
 
-std::optional<HubItem> FanOutHub::pop(Subscription& sub,
-                                      std::chrono::milliseconds timeout) {
+std::optional<HubItem> FanOutHub::pop(Subscription& sub, std::stop_token stop) {
   std::unique_lock lock(sub.queue_mu_);
-  auto ready = [&sub] { return !sub.queue_.empty() || sub.queue_closed_; };
-  if (timeout.count() < 0) {
-    sub.queue_cv_.wait(lock, ready);
-  } else if (!sub.queue_cv_.wait_for(lock, timeout, ready)) {
-    return std::nullopt;
-  }
-  if (sub.queue_.empty()) return std::nullopt;  // closed
+  sub.queue_cv_.wait(lock, stop, [&sub] { return !sub.queue_.empty() || sub.queue_closed_; });
+  if (sub.queue_.empty()) return std::nullopt;  // stopped or closed
   HubItem item = std::move(sub.queue_.front());
   sub.queue_.pop_front();
+  // Wake a storeless pump waiting for room below the credit window.
+  const std::uint64_t window = options_.credit_window;
+  const bool was_full = sub.queued_events_ >= window;
+  sub.queued_events_ -= item.indices.size();
+  if (was_full && sub.queued_events_ < window) sub.queue_cv_.notify_all();
   return item;
 }
 
@@ -160,7 +193,6 @@ void FanOutHub::acknowledge(Subscription& sub, const VectorCursor& cursor,
   sub.credits_ = std::min<std::int64_t>(
       static_cast<std::int64_t>(options_.credit_window),
       sub.credits_ + static_cast<std::int64_t>(processed_events));
-  forward_acks_locked();
 }
 
 std::optional<VectorCursor> FanOutHub::try_promote(Subscription& sub,
@@ -173,6 +205,9 @@ std::optional<VectorCursor> FanOutHub::try_promote(Subscription& sub,
     return std::nullopt;
   sub.state_ = FlowState::kLive;
   sub.credits_ = static_cast<std::int64_t>(options_.credit_window);
+  // The consumer still replays up to heads_: until it acknowledges that
+  // far, its real cursor stays in the min-ack.
+  for (std::size_t k = 0; k < heads_.size(); ++k) sub.owed_.advance(k, heads_.at(k));
   std::erase(demoted_, sub.id_);
   --demoted_count_;
   ++live_count_;
@@ -189,26 +224,25 @@ FlowState FanOutHub::state(const Subscription& sub) const {
   return sub.state_;
 }
 
-std::int64_t FanOutHub::credits(const Subscription& sub) const {
+VectorCursor FanOutHub::acked(const Subscription& sub) const {
   std::lock_guard lock(mu_);
-  return sub.credits_;
+  return sub.acked_;
 }
 
-VectorCursor FanOutHub::head_cursor() const {
-  std::lock_guard lock(mu_);
-  return heads_;
-}
-
-void FanOutHub::push_item(Subscription& sub, HubItem item) {
+bool FanOutHub::push_item(Subscription& sub, HubItem item) {
   std::lock_guard lock(sub.queue_mu_);
-  if (sub.queue_closed_) return;
+  if (sub.queue_closed_) return false;
+  sub.queued_events_ += item.indices.size();
   sub.queue_.push_back(std::move(item));
   sub.queue_cv_.notify_one();
+  return sub.queued_events_ >= options_.credit_window;
 }
 
 void FanOutHub::demote_locked(Subscription& sub) {
   sub.state_ = FlowState::kDemoted;
   demoted_.push_back(sub.id_);
+  sub.progress_ = sub.acked_.sum();
+  sub.progress_at_ = std::chrono::steady_clock::now();
   --live_count_;
   ++demoted_count_;
   if (metrics_.demotions != nullptr) metrics_.demotions->inc();
@@ -218,13 +252,42 @@ void FanOutHub::demote_locked(Subscription& sub) {
   push_item(sub, std::move(marker));
 }
 
-void FanOutHub::evict_overdue_locked() {
+void FanOutHub::announce_heads_locked() {
+  for (const auto& sub : subs_) {
+    if (!sub || sub->state_ != FlowState::kLive) continue;
+    bool behind = false;
+    for (std::size_t k = 0; k < heads_.size(); ++k)
+      behind = behind || heads_.at(k) > sub->announced_.at(k);
+    if (!behind) continue;
+    // Only into an empty queue: a consumer that is still draining learns
+    // the head on a later tick, and a stalled one never collects more
+    // than one watermark.
+    std::lock_guard qlock(sub->queue_mu_);
+    if (!sub->queue_.empty() || sub->queue_closed_) continue;
+    HubItem item;
+    item.kind = HubItem::Kind::kWatermark;
+    item.head = heads_;
+    sub->queue_.push_back(std::move(item));
+    sub->queue_cv_.notify_one();
+    sub->announced_ = heads_;
+  }
+}
+
+void FanOutHub::evict_overdue_locked(const VectorCursor& persisted) {
   if (options_.eviction_lag == 0 || demoted_.empty()) return;
-  const std::uint64_t head = heads_.sum();
+  // Lag is measured against what the stores hold, not the pumped head:
+  // a demoted consumer can page only persisted events.
+  const std::uint64_t reachable = persisted.sum();
+  const auto now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < demoted_.size();) {
     auto& sub = subs_[demoted_[i]];
     const std::uint64_t acked = sub->acked_.sum();
-    if (head > acked && head - acked > options_.eviction_lag) {
+    if (acked != sub->progress_) {
+      sub->progress_ = acked;
+      sub->progress_at_ = now;
+    }
+    if (reachable > acked && reachable - acked > options_.eviction_lag &&
+        now - sub->progress_at_ >= kStallGrace) {
       index_.remove_subscriber(sub->id_);
       sub->state_ = FlowState::kEvicted;
       --demoted_count_;
@@ -234,7 +297,6 @@ void FanOutHub::evict_overdue_locked() {
       push_item(*sub, std::move(marker));
       demoted_[i] = demoted_.back();
       demoted_.pop_back();
-      forward_acks_locked();
       update_gauges_locked();
     } else {
       ++i;
@@ -242,41 +304,42 @@ void FanOutHub::evict_overdue_locked() {
   }
 }
 
-void FanOutHub::forward_acks_locked() {
+void FanOutHub::tick() {
+  const VectorCursor persisted =
+      can_demote_ && options_.eviction_lag != 0 ? aggregator_.persisted_cursor() : VectorCursor{};
+  std::unique_lock lock(mu_);
+  announce_heads_locked();
+  evict_overdue_locked(persisted);
   VectorCursor min_cursor = heads_;
   bool any = false;
   for (const auto& sub : subs_) {
     if (!sub || sub->state_ == FlowState::kEvicted) continue;
     any = true;
-    // A live subscriber whose rules match nothing never appears in a
-    // delivery set, so its acked_ cursor would pin the min forever at
-    // its subscribe-time watermark. A full credit window means every
-    // event ever queued for it has been processed AND acknowledged —
-    // pushes debit the window under mu_ and only acks replenish it, so
-    // full credits imply an empty queue — and everything at or below
-    // heads_ is therefore either acked or failed its rules: the
-    // effective watermark IS heads_ and it contributes nothing to the
-    // min. Demoted subscribers keep their real cursor — they still
-    // need the store for catch-up replay.
-    if (sub->state_ == FlowState::kLive &&
-        sub->credits_ >= static_cast<std::int64_t>(options_.credit_window))
-      continue;
-    min_cursor.ensure(sub->acked_.size());
-    for (std::size_t k = 0; k < min_cursor.size(); ++k)
-      min_cursor.last_ids[k] = std::min(min_cursor.last_ids[k], sub->acked_.at(k));
+    for (std::size_t k = 0; k < min_cursor.size(); ++k) {
+      // A live subscription that has acknowledged every frame queued for
+      // it on shard k needs nothing below heads_ there: the frames it
+      // was not sent matched none of its rules. One that still owes an
+      // ack — an unprocessed frame, or the replay up to its promotion
+      // watermark — holds the min at its real cursor, and so does a
+      // demoted one, which still pages the store.
+      const bool settled =
+          sub->state_ == FlowState::kLive && sub->acked_.at(k) >= sub->owed_.at(k);
+      if (!settled)
+        min_cursor.last_ids[k] = std::min(min_cursor.last_ids[k], sub->acked_.at(k));
+    }
   }
   if (!any) return;
   bool advanced = false;
-  for (std::size_t k = 0; k < min_cursor.size(); ++k) {
-    if (min_cursor.at(k) > forwarded_.at(k)) {
-      advanced = true;
-      break;
-    }
-  }
-  if (!advanced) return;
   for (std::size_t k = 0; k < min_cursor.size(); ++k)
-    forwarded_.advance(k, min_cursor.at(k));
-  aggregator_.acknowledge(forwarded_);
+    advanced = advanced || min_cursor.at(k) > forwarded_.at(k);
+  if (!advanced) return;
+  // Outside the lock: the store persists its watermark to a file. It
+  // takes an ack only up to what it has persisted; record what it took,
+  // so the rest is re-sent on the next tick.
+  lock.unlock();
+  const VectorCursor taken = aggregator_.acknowledge(min_cursor);
+  lock.lock();
+  for (std::size_t k = 0; k < taken.size(); ++k) forwarded_.advance(k, taken.at(k));
 }
 
 std::size_t FanOutHub::shard_of_topic(std::string_view topic) const {
@@ -302,65 +365,96 @@ void FanOutHub::update_gauges_locked() {
 
 void FanOutHub::pump(std::stop_token stop) {
   DeliverySet delivery;
+  std::vector<MatchKey> keys;
+  auto last_forward = std::chrono::steady_clock::now();
   while (!stop.stop_requested()) {
-    auto frame = receiver_->recv();
-    if (!frame) break;
-    auto decoded = core::decode_batch(frame->payload.bytes());
-    if (!decoded) {
-      FSMON_WARN("fanout", "corrupt batch frame: ", decoded.status().to_string());
-      continue;
+    auto message = receiver_->recv(kForwardInterval);
+    if (message) {
+      pump_frame(std::move(message->payload), message->topic, delivery, keys, stop);
+    } else if (receiver_->closed()) {
+      break;
     }
-    if (decoded.value().empty()) continue;
-    auto batch =
-        std::make_shared<const core::EventBatch>(std::move(decoded.value()));
-    const std::size_t shard = shard_of_topic(frame->topic);
-    {
-      // Publish the frame as in-flight so subscribe() can order itself
-      // against it (see the pending_* comment in the header).
-      std::lock_guard lock(mu_);
-      pending_shard_ = shard;
-      pending_last_id_ = batch->events.back().id;
-      pending_valid_ = true;
+    if (const auto now = std::chrono::steady_clock::now(); now - last_forward >= kForwardInterval) {
+      last_forward = now;
+      tick();
     }
-    // The index has its own lock; matching runs outside the hub mutex so
-    // subscribe/ack calls are never blocked behind a large batch.
-    index_.match_batch(batch->events, delivery);
-    frames_.fetch_add(1);
+  }
+}
 
+void FanOutHub::pump_frame(transport::FrameRef frame, std::string_view topic,
+                           DeliverySet& delivery, std::vector<MatchKey>& keys,
+                           std::stop_token stop) {
+  auto hub_frame = std::make_shared<HubFrame>();
+  hub_frame->frame = std::move(frame);
+  const auto bytes = hub_frame->frame.bytes();
+  auto view = core::view_batch(bytes);
+  Status status = view.status();
+  keys.clear();
+  if (view) {
+    hub_frame->view = std::move(view.value());
+    keys.resize(hub_frame->view.count);
+    for (std::size_t i = 0; i < keys.size() && status.is_ok(); ++i) {
+      const auto& [offset, length] = hub_frame->view.events[i];
+      status = peek_record(bytes.subspan(offset, length), *hub_frame, keys[i]);
+    }
+  }
+  if (!status.is_ok()) {
+    FSMON_WARN("fanout", "corrupt batch frame: ", status.to_string());
+    return;
+  }
+  if (keys.empty()) return;
+  hub_frame->shard = shard_of_topic(topic);
+  const std::size_t shard = hub_frame->shard;
+  const common::EventId last_id = hub_frame->last_id;
+  {
+    // Publish the frame as in-flight so subscribe() can order itself
+    // against it (see the pending_* comment in the header).
     std::lock_guard lock(mu_);
-    pending_valid_ = false;
-    heads_.advance(shard, batch->events.back().id);
-    for (SubscriberId id : delivery.touched()) {
-      if (id >= subs_.size() || !subs_[id]) continue;
-      Subscription& sub = *subs_[id];
-      if (sub.state_ != FlowState::kLive) continue;
-      if (sub.credits_ <= 0) {
-        // The window went negative on an earlier frame (frames are
-        // delivered whole); this one is not delivered — the catch-up
-        // replay will cover it.
-        demote_locked(sub);
-        continue;
-      }
-      const auto indices = delivery.indices_for(id);
-      HubItem item;
-      item.batch = batch;
-      item.indices.assign(indices.begin(), indices.end());
-      item.shard = shard;
-      item.first_id = batch->events.front().id;
-      item.last_id = batch->events.back().id;
-      sub.credits_ -= static_cast<std::int64_t>(indices.size());
-      push_item(sub, std::move(item));
-    }
-    evict_overdue_locked();
-    // Amortized min-ack forwarding: acknowledge() already forwards on
-    // every consumer ack, but when no subscription's rules match (so no
-    // consumer ever acks) retention would still grow with heads_. The
-    // periodic forward lets idle subscribers' effective cursors (see
-    // forward_acks_locked) release the stores.
-    if (++frames_since_forward_ >= kIdleForwardInterval) {
-      frames_since_forward_ = 0;
-      forward_acks_locked();
-    }
+    pending_shard_ = shard;
+    pending_last_id_ = last_id;
+    pending_valid_ = true;
+  }
+  // The index has its own lock; matching runs outside the hub mutex so
+  // subscribe/ack calls are never blocked behind a large batch.
+  index_.match_batch(keys, delivery);
+  frames_.fetch_add(1);
+  // A queued item may outlive its frame's transport record by up to a
+  // credit window; a shm ring record must not stay pinned that long.
+  // Matching read the borrowed bytes in place; only a frame that is
+  // delivered at all is copied out.
+  if (!delivery.touched().empty() && hub_frame->frame.borrowed()) own_bytes(*hub_frame);
+
+  std::shared_ptr<const HubFrame> shared = std::move(hub_frame);
+  std::vector<std::shared_ptr<Subscription>> full;  // storeless back-pressure
+  std::unique_lock lock(mu_);
+  pending_valid_ = false;
+  heads_.advance(shard, last_id);
+  for (SubscriberId id : delivery.touched()) {
+    if (id >= subs_.size() || !subs_[id]) continue;
+    Subscription& sub = *subs_[id];
+    if (sub.state_ != FlowState::kLive) continue;
+    const auto indices = delivery.indices_for(id);
+    HubItem item;
+    item.frame = shared;
+    item.indices.assign(indices.begin(), indices.end());
+    sub.credits_ -= static_cast<std::int64_t>(indices.size());
+    sub.owed_.advance(shard, last_id);
+    sub.announced_.advance(shard, last_id);
+    const bool queue_full = push_item(sub, std::move(item));
+    // Demote at the credit edge: the push that spends the window also
+    // queues the marker, so the consumer learns it must catch up from
+    // the store without waiting for further traffic.
+    if (can_demote_ && sub.credits_ <= 0) demote_locked(sub);
+    if (!can_demote_ && queue_full) full.push_back(subs_[id]);
+  }
+  lock.unlock();
+  // Storeless there is no store to catch up from: hold the frames that
+  // follow until the slow consumer drains below its window (or leaves).
+  for (const auto& sub : full) {
+    std::unique_lock qlock(sub->queue_mu_);
+    sub->queue_cv_.wait(qlock, stop, [&] {
+      return sub->queue_closed_ || sub->queued_events_ < options_.credit_window;
+    });
   }
 }
 

@@ -31,6 +31,7 @@ ScalableMonitor::ScalableMonitor(lustre::LustreFs& fs, ScalableMonitorOptions op
   sharded_options.shards = options_.shards;
   sharded_options.transport = options_.transport;
   sharded_options.aggregator = options_.aggregator;
+  sharded_options.flow = options_.flow;
   sharded_ = std::make_unique<ShardedAggregator>("aggregator", std::move(sharded_options),
                                                  clock_);
   // MGS service records name each stage's transport endpoint.
@@ -64,19 +65,11 @@ ScalableMonitor::ScalableMonitor(lustre::LustreFs& fs, ScalableMonitorOptions op
     const auto mdt = mdt_of_source(source);
     if (mdt && *mdt < collectors_.size()) collectors_[*mdt]->rewind_to_cleared();
   });
-  if (options_.fanout_hub) {
-    FlowControlOptions flow = options_.flow;
-    flow.metrics = options_.aggregator.metrics;
-    hub_ = std::make_unique<FanOutHub>(*sharded_, flow);
-  }
 }
 
 Status ScalableMonitor::start() {
   if (running_) return Status::ok();
   if (auto s = sharded_->start(); !s.is_ok()) return s;
-  if (hub_ != nullptr) {
-    if (auto s = hub_->start(); !s.is_ok()) return s;
-  }
   for (auto& collector : collectors_) {
     if (auto s = collector->start(); !s.is_ok()) return s;
   }
@@ -87,7 +80,6 @@ Status ScalableMonitor::start() {
 void ScalableMonitor::stop() {
   if (!running_) return;
   for (auto& collector : collectors_) collector->stop();
-  if (hub_ != nullptr) hub_->stop();
   sharded_->stop();
   running_ = false;
 }
@@ -95,7 +87,6 @@ void ScalableMonitor::stop() {
 std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
                                                          ConsumerOptions options,
                                                          Consumer::EventCallback callback) {
-  if (hub_ != nullptr && options.hub == nullptr) options.hub = hub_.get();
   auto consumer = std::make_unique<Consumer>(*sharded_, std::move(name),
                                              std::move(options), std::move(callback));
   if (running_) consumer->start();
@@ -105,7 +96,6 @@ std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
 std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
                                                          ConsumerOptions options,
                                                          Consumer::BatchCallback callback) {
-  if (hub_ != nullptr && options.hub == nullptr) options.hub = hub_.get();
   auto consumer = std::make_unique<Consumer>(*sharded_, std::move(name),
                                              std::move(options), std::move(callback));
   if (running_) consumer->start();

@@ -24,16 +24,13 @@ struct ScalableMonitorOptions {
   /// through the ShardRouter (see docs/ARCHITECTURE.md).
   std::size_t shards = 1;
   /// Transport every pipeline hop rides on (collector senders, shard
-  /// inboxes/outputs, consumer receivers). Null (default) = in-process
-  /// (the tier owns an InProcTransport). Must outlive the monitor.
+  /// inboxes/outputs, the fan-out hub's receiver). Null (default) =
+  /// in-process (the tier owns an InProcTransport). Must outlive the
+  /// monitor.
   transport::Transport* transport = nullptr;
-  /// Create a FanOutHub on the aggregator tier and subscribe every
-  /// make_consumer() through it: one shared receiver, one decode and one
-  /// index evaluation per batch, credit-based flow control per consumer.
-  /// Off (default) keeps the legacy per-consumer topology.
-  bool fanout_hub = false;
-  /// Flow-control tuning for the hub (used when fanout_hub is true; the
-  /// metrics field is overridden by the aggregator's registry).
+  /// Flow-control tuning for the tier's fan-out hub, which every
+  /// consumer rides (the metrics field is overridden by the aggregator's
+  /// registry).
   FlowControlOptions flow;
 };
 
@@ -45,8 +42,8 @@ class ScalableMonitor {
   common::Status start();
   void stop();
 
-  /// Create (and start, if the monitor is running) a consumer attached to
-  /// this monitor's aggregator.
+  /// Create (and start, if the monitor is running) a consumer subscribed
+  /// to this monitor's fan-out hub.
   std::unique_ptr<Consumer> make_consumer(std::string name, ConsumerOptions options,
                                           Consumer::EventCallback callback);
   /// Batch-aware variant: the callback receives each matching batch once.
@@ -57,8 +54,6 @@ class ScalableMonitor {
   /// aggregator accessor. Sharded callers use sharded().
   Aggregator& aggregator() { return sharded_->shard(0); }
   ShardedAggregator& sharded() { return *sharded_; }
-  /// The shared fan-out hub; null unless options.fanout_hub was set.
-  FanOutHub* hub() { return hub_.get(); }
   Collector& collector(std::size_t i) { return *collectors_.at(i); }
   std::size_t collector_count() const { return collectors_.size(); }
 
@@ -100,7 +95,6 @@ class ScalableMonitor {
   ScalableMonitorOptions options_;
   common::Clock& clock_;
   std::unique_ptr<ShardedAggregator> sharded_;
-  std::unique_ptr<FanOutHub> hub_;
   std::vector<std::unique_ptr<Collector>> collectors_;
   bool running_ = false;
 };

@@ -52,6 +52,9 @@ ShardedAggregator::ShardedAggregator(const std::string& name,
   }
   router_ = std::make_unique<ShardRouter>(map_, std::move(senders), clock,
                                           options.aggregator.metrics);
+  FlowControlOptions flow = options.flow;
+  flow.metrics = options.aggregator.metrics;
+  hub_ = std::make_unique<FanOutHub>(*this, flow);
 }
 
 Status ShardedAggregator::start() {
@@ -106,20 +109,35 @@ Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
     if (auto s = refill(k); !s.is_ok()) return s;
   }
 
-  while (out.size() < max_events) {
-    // Pop the smallest (timestamp, shard) head. Head comparison only:
-    // within a shard the store order (its id order) is never disturbed,
-    // so the merged stream restricted to one shard IS that shard's
-    // replay — the permutation-free contract.
+  std::size_t last = n;  // shard of the last event taken
+  for (;;) {
     std::size_t best = n;
-    for (std::size_t k = 0; k < n; ++k) {
-      const Head& head = heads[k];
-      if (head.pos >= head.page.size()) continue;
-      if (best == n ||
-          head.page[head.pos].timestamp < heads[best].page[heads[best].pos].timestamp)
-        best = k;
+    if (out.size() >= max_events) {
+      // Full, unless the next event of the last one's shard is the other
+      // half of its (source, cookie) pair: take it too, so no page ends
+      // inside a rename.
+      const core::StdEvent& tail = out.back();
+      const Head& head = heads[last];
+      if (tail.cookie == 0 || head.pos >= head.page.size() ||
+          head.page[head.pos].cookie != tail.cookie ||
+          head.page[head.pos].source != tail.source)
+        break;
+      best = last;
+    } else {
+      // Pop the smallest (timestamp, shard) head. Head comparison only:
+      // within a shard the store order (its id order) is never
+      // disturbed, so the merged stream restricted to one shard IS that
+      // shard's replay — the permutation-free contract.
+      for (std::size_t k = 0; k < n; ++k) {
+        const Head& head = heads[k];
+        if (head.pos >= head.page.size()) continue;
+        if (best == n ||
+            head.page[head.pos].timestamp < heads[best].page[heads[best].pos].timestamp)
+          best = k;
+      }
+      if (best == n) break;  // every shard drained
     }
-    if (best == n) break;  // every shard drained
+    last = best;
     core::StdEvent& event = heads[best].page[heads[best].pos++];
     cursor.last_ids[best] = event.id;
     out.push_back(std::move(event));
@@ -130,11 +148,13 @@ Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
   return out;
 }
 
-void ShardedAggregator::acknowledge(const VectorCursor& cursor) {
+VectorCursor ShardedAggregator::acknowledge(const VectorCursor& cursor) {
+  VectorCursor taken(shards_.size());
   const std::size_t n = std::min(cursor.size(), shards_.size());
   for (std::size_t k = 0; k < n; ++k) {
-    if (cursor.last_ids[k] > 0) shards_[k]->acknowledge(cursor.last_ids[k]);
+    if (cursor.last_ids[k] > 0) taken.last_ids[k] = shards_[k]->acknowledge(cursor.last_ids[k]);
   }
+  return taken;
 }
 
 std::size_t ShardedAggregator::purge() {
@@ -147,6 +167,15 @@ std::uint64_t ShardedAggregator::last_event_id_sum() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->last_event_id();
   return total;
+}
+
+VectorCursor ShardedAggregator::persisted_cursor() const {
+  VectorCursor cursor(shards_.size());
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    const auto* store = shards_[k]->store();
+    cursor.last_ids[k] = store != nullptr ? store->last_id() : shards_[k]->last_event_id();
+  }
+  return cursor;
 }
 
 std::uint64_t ShardedAggregator::aggregated() const {

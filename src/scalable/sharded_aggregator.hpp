@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/scalable/aggregator.hpp"
+#include "src/scalable/flow_control.hpp"
 #include "src/scalable/shard_map.hpp"
 #include "src/scalable/shard_router.hpp"
 
@@ -42,6 +43,9 @@ struct ShardedAggregatorOptions {
   /// suffix, metrics a shard=<k> label, and fault points an
   /// "aggregator.shard<k>." scope (all only when shards > 1).
   AggregatorOptions aggregator;
+  /// Tuning of the tier's fan-out hub; its metrics field is overridden
+  /// by aggregator.metrics.
+  FlowControlOptions flow;
 };
 
 class ShardedAggregator {
@@ -66,6 +70,10 @@ class ShardedAggregator {
   const ShardMap& map() const { return map_; }
   /// Topic shard k publishes under (base, or base + "/shard<k>").
   const std::string& output_topic(std::size_t k) const { return topics_.at(k); }
+  /// The one delivery path to consumers: every Consumer subscribes here.
+  /// It attaches to the shard outputs at its first subscription and
+  /// pumps until the tier is destroyed, whether or not start() ran.
+  FanOutHub& hub() { return *hub_; }
 
   /// Applied to every shard (not thread-safe; set before start()).
   void set_ack_callback(Aggregator::AckCallback callback);
@@ -77,11 +85,17 @@ class ShardedAggregator {
   /// preserved exactly. `cursor` is advanced past every returned event,
   /// so repeated calls page through the backlog. The cursor is resized
   /// to the shard count if needed (missing slots replay from the start).
+  /// A page never ends between two events of one (source, cookie): a
+  /// rename's halves share a cookie, and a consumer's dedup window must
+  /// judge them together, so the page runs past `max_events` to take the
+  /// second half.
   common::Result<std::vector<core::StdEvent>> events_since(
       VectorCursor& cursor, std::size_t max_events = SIZE_MAX) const;
 
   /// Per-shard acknowledgement of everything at or below the cursor.
-  void acknowledge(const VectorCursor& cursor);
+  /// Returns, per shard, the acknowledged watermark the store holds
+  /// (see Aggregator::acknowledge).
+  VectorCursor acknowledge(const VectorCursor& cursor);
   std::size_t purge();
 
   /// Sum of per-shard head ids: total events assigned ids so far
@@ -95,6 +109,9 @@ class ShardedAggregator {
       cursor.last_ids[k] = shards_[k]->last_event_id();
     return cursor;
   }
+  /// Per-shard last persisted ids (a shard without a store reports its
+  /// head): how far a store replay can reach.
+  VectorCursor persisted_cursor() const;
   std::uint64_t aggregated() const;
   std::uint64_t persisted() const;
   bool any_crashed() const;
@@ -108,6 +125,8 @@ class ShardedAggregator {
   std::vector<std::unique_ptr<Aggregator>> shards_;
   std::vector<std::string> topics_;
   std::unique_ptr<ShardRouter> router_;
+  /// Declared last: destroyed first, so its pump never outlives a shard.
+  std::unique_ptr<FanOutHub> hub_;
 };
 
 }  // namespace fsmon::scalable

@@ -232,29 +232,46 @@ void SubscriptionIndex::accumulate(const EntrySet& set, std::string_view base,
   }
 }
 
-void SubscriptionIndex::match_into(std::span<const std::string> components,
-                                   std::string_view base, core::EventKind kind,
+void SubscriptionIndex::match_into(std::string_view path, core::EventKind kind,
                                    std::vector<std::uint64_t>& hits,
                                    std::vector<std::uint32_t>& dirty) const {
-  const std::size_t n = components.size();
+  // Walk the normalized path one component at a time, straight off the
+  // string: the component after a node decides both the child to
+  // descend into and whether the node's direct-child rules apply (they
+  // do when that component is the last one).
+  const std::size_t slash = path.rfind('/');
+  const std::string_view base =
+      slash == std::string_view::npos ? path : path.substr(slash + 1);
+  std::size_t pos = 0;
+  auto next_component = [&]() -> std::string_view {
+    while (pos < path.size() && path[pos] == '/') ++pos;
+    const std::size_t begin = pos;
+    while (pos < path.size() && path[pos] != '/') ++pos;
+    return path.substr(begin, pos - begin);
+  };
   const Node* node = root_.get();
-  for (std::size_t depth = 0;; ++depth) {
+  std::string_view component = next_component();
+  for (bool at_root = true;; at_root = false) {
     // Recursive rules rooted at this prefix cover the whole subtree.
     accumulate(node->recursive, base, kind, hits, dirty);
+    if (component.empty()) {
+      // At the event itself. The root also keeps the quirk that a
+      // non-recursive "/" rule matches "/" (parent_path("/") == "/").
+      if (at_root) accumulate(node->direct, base, kind, hits, dirty);
+      break;
+    }
+    const std::string_view child = component;
+    component = next_component();
     // Non-recursive rules match direct children only — the event must
-    // have exactly one component past this prefix. Depth-0 also keeps
-    // the legacy quirk: a non-recursive "/" rule matches "/" itself
-    // (parent_path("/") == "/").
-    if (depth + 1 == n || (depth == 0 && n == 0))
-      accumulate(node->direct, base, kind, hits, dirty);
-    if (depth == n) break;
-    auto it = node->children.find(components[depth]);
+    // have exactly one component past this prefix.
+    if (component.empty()) accumulate(node->direct, base, kind, hits, dirty);
+    auto it = node->children.find(child);
     if (it == node->children.end()) break;
     node = it->second.get();
   }
 }
 
-void SubscriptionIndex::match_batch(std::span<const core::StdEvent> events,
+void SubscriptionIndex::match_batch(std::span<const MatchKey> events,
                                     DeliverySet& out) const {
   std::shared_lock lock(mu_);
   const std::size_t limit = rules_by_id_.size();
@@ -268,10 +285,12 @@ void SubscriptionIndex::match_batch(std::span<const core::StdEvent> events,
   for (std::uint32_t i = 0; i < events.size(); ++i) {
     dirty.clear();
     match_all_.or_into(hits, dirty);
-    const std::string path = common::normalize_path(events[i].path);
-    const std::string base = common::base_name(path);
-    const auto components = core::path_components(path);
-    match_into(components, base, events[i].kind, hits, dirty);
+    const std::string_view path = events[i].path;
+    if (common::is_normalized_path(path)) {
+      match_into(path, events[i].kind, hits, dirty);
+    } else {
+      match_into(common::normalize_path(path), events[i].kind, hits, dirty);
+    }
     for (const std::uint32_t w : dirty) {
       std::uint64_t word = hits[w];
       hits[w] = 0;
@@ -293,7 +312,8 @@ void SubscriptionIndex::match_batch(std::span<const core::StdEvent> events,
 std::vector<SubscriberId> SubscriptionIndex::match_event(
     const core::StdEvent& event) const {
   DeliverySet out;
-  match_batch(std::span(&event, 1), out);
+  const MatchKey key{event.path, event.kind};
+  match_batch(std::span(&key, 1), out);
   std::vector<SubscriberId> ids(out.touched().begin(), out.touched().end());
   std::sort(ids.begin(), ids.end());
   return ids;

@@ -9,12 +9,12 @@
 // bitsets — cost grows with the event's path depth and the number of
 // subscribers it actually matches, not with the total subscriber count.
 //
-// Semantics are byte-identical to the legacy per-consumer
-// core::matches_any evaluation (property-tested in sub_index_test):
+// Semantics are byte-identical to the per-event core::matches_any
+// evaluation (property-tested in sub_index_test):
 //  - recursive rules match the whole subtree rooted at the rule root
 //    (including the root itself), with component-exact boundaries —
 //    a rule on "/foo" never matches "/foobar";
-//  - non-recursive rules match direct children only, plus the legacy
+//  - non-recursive rules match direct children only, plus the
 //    quirk that a non-recursive "/" rule matches the path "/" itself
 //    (parent_path("/") == "/");
 //  - an empty rule set matches everything (the consumer default);
@@ -27,6 +27,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/event.hpp"
@@ -38,6 +39,13 @@ namespace fsmon::scalable {
 /// Dense subscriber handle allocated by the index; ids are reused after
 /// removal so bitsets stay compact.
 using SubscriberId = std::uint32_t;
+
+/// What the index matches an event on, read in place: the hub passes a
+/// view of the path inside the frame bytes, so matching decodes nothing.
+struct MatchKey {
+  std::string_view path;
+  core::EventKind kind = core::EventKind::kCreate;
+};
 
 /// Growable bitset over SubscriberId.
 class SubscriberBitset {
@@ -109,8 +117,10 @@ class SubscriptionIndex {
   void remove_subscriber(SubscriberId id);
 
   /// Match a whole batch: fills `out` with, per touched subscriber, the
-  /// indices of matching events. Indices are in batch order.
-  void match_batch(std::span<const core::StdEvent> events, DeliverySet& out) const;
+  /// indices of matching events. Indices are in batch order. Allocates
+  /// nothing per event when the paths are normalized (collector paths
+  /// are).
+  void match_batch(std::span<const MatchKey> events, DeliverySet& out) const;
 
   /// Match a single event into a subscriber-id list (test/bench helper).
   std::vector<SubscriberId> match_event(const core::StdEvent& event) const;
@@ -123,8 +133,7 @@ class SubscriptionIndex {
   struct EntrySet;
 
   Node* walk_to(std::span<const std::string> components);
-  void match_into(std::span<const std::string> components,
-                  std::string_view base, core::EventKind kind,
+  void match_into(std::string_view path, core::EventKind kind,
                   std::vector<std::uint64_t>& hits,
                   std::vector<std::uint32_t>& dirty) const;
   static void accumulate(const EntrySet& set, std::string_view base,

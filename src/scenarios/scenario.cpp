@@ -304,7 +304,6 @@ Status build_mount(const ScenarioSpec& spec, Runtime& rt, const std::string& mna
     eventstore::EventStoreOptions store;
     store.directory = rt.dir / ("store_" + mname);
     options.aggregator.store = store;
-    options.fanout_hub = cfg.get_bool(key + "fanout", false);
     auto scalable_dsi =
         std::make_unique<scalable::ScalableDsi>(*mount.lustre, options, *rt.clock);
     mount.scalable = scalable_dsi.get();
@@ -500,8 +499,8 @@ std::uint64_t run_workload(const ScenarioSpec& spec, Runtime& rt,
 }
 
 /// Subscriber churn (and the virtual-time soak): cycle federated
-/// subscribers, and — where a lustre mount runs the fan-out hub — hub
-/// subscriptions, while the babysitter keeps restarting crashed stages
+/// subscribers, and — where a lustre mount exists — consumers on its
+/// fan-out hub, while the babysitter keeps restarting crashed stages
 /// and the manual clock compresses the configured virtual span.
 std::uint64_t run_subscriber_churn(const ScenarioSpec& spec, Runtime& rt,
                                    std::uint64_t& restarts, std::uint64_t& ops) {
@@ -511,10 +510,10 @@ std::uint64_t run_subscriber_churn(const ScenarioSpec& spec, Runtime& rt,
   if (cycles == 0 && virtual_hours > 0) cycles = 1000;
   if (cycles == 0) return 0;
 
-  scalable::FanOutHub* hub = nullptr;
+  scalable::ScalableMonitor* lustre = nullptr;
   for (auto& mount : rt.mounts) {
-    if (mount.scalable != nullptr && mount.scalable->monitor().hub() != nullptr) {
-      hub = mount.scalable->monitor().hub();
+    if (mount.scalable != nullptr) {
+      lustre = &mount.scalable->monitor();
       break;
     }
   }
@@ -529,10 +528,10 @@ std::uint64_t run_subscriber_churn(const ScenarioSpec& spec, Runtime& rt,
     const std::uint64_t token = rt.fed.subscribe([](const StdEvent&) {});
     rt.fed.unsubscribe(token);
     ++churns;
-    if (hub != nullptr) {
-      auto sub = hub->subscribe("churn-" + std::to_string(i), {});
-      (void)hub->pop(*sub, std::chrono::milliseconds(1));
-      hub->unsubscribe(*sub);
+    if (lustre != nullptr) {
+      // Subscribe, start, stop and unsubscribe one consumer.
+      (void)lustre->make_consumer("churn-" + std::to_string(i), {},
+                                  [](const StdEvent&) {});
       ++churns;
     }
     // Keep the pipeline fed so churned subscribers see live traffic.

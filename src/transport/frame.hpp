@@ -75,6 +75,10 @@ class FrameRef {
   /// Owners of the underlying buffer, 0 for a null ref.
   long use_count() const { return data_.use_count(); }
 
+  /// True when the bytes are borrowed from a transport (a shm ring
+  /// record): holding the ref keeps that record from being reclaimed.
+  bool borrowed() const { return data_ != nullptr && static_cast<bool>(data_->release); }
+
   /// Logical equality: same bytes (topic travels outside the ref).
   friend bool operator==(const FrameRef& a, const FrameRef& b) {
     return a.chars() == b.chars();

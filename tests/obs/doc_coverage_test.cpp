@@ -39,7 +39,8 @@ std::string read_doc() {
 
 /// Register every instrument the codebase knows how to create.
 void exercise_all_stages(obs::MetricsRegistry& registry) {
-  // Threaded pipeline: collectors -> aggregator (WAL store) -> consumer.
+  // Threaded pipeline: collectors -> aggregator (WAL store) -> fan-out
+  // hub (subidx.*, flow.*) -> consumer.
   auto& clock = common::RealClock::instance();
   lustre::LustreFsOptions fs_options;
   fs_options.mdt_count = 1;
@@ -56,9 +57,6 @@ void exercise_all_stages(obs::MetricsRegistry& registry) {
   store.directory = store_dir;
   store.flush_each_append = true;
   options.aggregator.store = store;
-  // Hub mode registers the subscription-index (subidx.*) and
-  // flow-control (flow.*) instruments, plus aggregator.fanout_receivers.
-  options.fanout_hub = true;
   scalable::ScalableMonitor monitor(fs, options, clock);
   scalable::ConsumerOptions consumer_options;
   consumer_options.metrics = &registry;

@@ -1,14 +1,17 @@
-// Consumer delivery core: frames are filtered on their bytes and only
-// delivered events are decoded; a frame with a malformed record is
-// rejected whole; and a hub consumer whose rules match sparsely keeps a
-// bounded dedup window.
+// Consumer delivery core: a frame with a malformed record is rejected
+// whole by the hub's pump; a consumer whose rules match sparsely keeps a
+// bounded dedup window; and a store page never splits a rename's halves,
+// whether replayed on request or paged by a demoted consumer's catch-up.
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -35,7 +38,7 @@ bool wait_until(const std::function<bool()>& done,
 }
 
 /// An in-process transport that remembers the receivers it makes, so a
-/// test can hand a consumer a frame no aggregator would publish.
+/// test can hand the fan-out hub a frame no aggregator would publish.
 class TappedTransport : public transport::Transport {
  public:
   transport::TransportKind kind() const override { return inner_.kind(); }
@@ -126,7 +129,7 @@ TEST(ConsumerDeliveryTest, FrameWithOutOfBoundsPathLengthIsRejectedWhole) {
                                         });
   ASSERT_TRUE(consumer->start().is_ok());
   auto sender = tapped.make_sender("test");
-  sender->connect(tapped.receiver("c"));
+  sender->connect(tapped.receiver("fanout-hub"));
 
   // Events 1 and 2 are well formed; event 3's path length runs past its
   // record. The CRC is recomputed over the damage, so only the record
@@ -145,7 +148,8 @@ TEST(ConsumerDeliveryTest, FrameWithOutOfBoundsPathLengthIsRejectedWhole) {
   ASSERT_FALSE(sender->send("t", transport::FrameRef::adopt(std::move(frame))).refused());
   ASSERT_TRUE(wait_until([&] { return log.count("corrupt batch frame") >= 1; }));
   EXPECT_EQ(log.count("corrupt batch frame"), 1u);
-  // Nothing delivered, seen (so nothing acked) or marked.
+  // Nothing pumped, delivered, seen (so nothing acked) or marked.
+  EXPECT_EQ(monitor.sharded().hub().frames_pumped(), 0u);
   EXPECT_EQ(consumer->delivered(), 0u);
   EXPECT_EQ(consumer->seen_cursor().sum(), 0u);
   EXPECT_EQ(consumer->dedup_pending(), 0u);
@@ -180,9 +184,7 @@ TEST(ConsumerDeliveryTest, SparseHubConsumerKeepsDedupWindowBounded) {
   for (int d = 0; d < kDirs; ++d) ASSERT_TRUE(fs.mkdir("/d" + std::to_string(d)).is_ok());
   ScalableMonitorOptions o;
   o.collector.cache_size = 64;
-  o.fanout_hub = true;
   ScalableMonitor monitor(fs, o, clock);
-  ASSERT_NE(monitor.hub(), nullptr);
   ConsumerOptions sparse_options;
   core::FilterRule rule;
   rule.root = "/d0";
@@ -222,6 +224,100 @@ TEST(ConsumerDeliveryTest, SparseHubConsumerKeepsDedupWindowBounded) {
   EXPECT_EQ(sparse->duplicates_suppressed(), 0u);
   EXPECT_LT(peak_pending, static_cast<std::size_t>(kMatched));
   EXPECT_LT(sparse->dedup_pending(), static_cast<std::size_t>(kMatched));
+}
+
+/// A monitor with a reliable store in a per-test directory.
+class ConsumerReplayTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("fsmon_consumer_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  ScalableMonitorOptions options() {
+    ScalableMonitorOptions o;
+    eventstore::EventStoreOptions store;
+    store.directory = dir_;
+    o.aggregator.store = store;
+    return o;
+  }
+
+  std::filesystem::path dir_;
+  common::RealClock clock;
+};
+
+TEST_F(ConsumerReplayTest, RenameStraddlingAPageBoundaryIsReplayedWhole) {
+  // A rename's MOVED_FROM and MOVED_TO halves share one cookie. Behind a
+  // create, a two-event page would end between them: the dedup window
+  // would mark the cookie with the first half and drop the second as a
+  // duplicate of it.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(), clock);
+  ConsumerOptions consumer_options;
+  consumer_options.replay_page = 2;
+  std::vector<StdEvent> received;
+  auto consumer = monitor.make_consumer(
+      "c", consumer_options, [&](const StdEvent& e) { received.push_back(e); });
+  ASSERT_TRUE(fs.create("/a").is_ok());
+  ASSERT_TRUE(fs.rename("/a", "/b").is_ok());
+  monitor.drain_collectors_once();
+  ASSERT_EQ(monitor.sharded().persisted(), 3u);
+
+  // No argument: from the last acknowledged cursor, duplicate filter on.
+  auto replayed = consumer->replay_historic();
+  ASSERT_TRUE(replayed.is_ok());
+  EXPECT_EQ(replayed.value(), 3u);
+  ASSERT_EQ(received.size(), 3u);
+  EXPECT_EQ(received[1].kind, EventKind::kMovedFrom);
+  EXPECT_EQ(received[2].kind, EventKind::kMovedTo);
+  EXPECT_EQ(received[2].cookie, received[1].cookie);
+  EXPECT_EQ(consumer->duplicates_suppressed(), 0u);
+}
+
+TEST_F(ConsumerReplayTest, CatchUpPagesARenameStraddlingAPageBoundaryWhole) {
+  // A one-event credit window demotes the consumer at the first frame,
+  // before it starts. Started, it catches up from the store first, three
+  // events a page, and the first page would end between the rename's
+  // halves.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitorOptions o = options();
+  o.collector.publish_batch = 1;
+  o.flow.credit_window = 1;
+  ScalableMonitor monitor(fs, o, clock);
+  ConsumerOptions consumer_options;
+  consumer_options.replay_page = 3;
+  std::mutex mu;
+  std::vector<StdEvent> received;
+  auto consumer = monitor.make_consumer("c", consumer_options, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    received.push_back(e);
+  });
+  ASSERT_TRUE(fs.create("/a").is_ok());
+  ASSERT_TRUE(fs.create("/b").is_ok());
+  ASSERT_TRUE(fs.rename("/b", "/c").is_ok());
+  ASSERT_TRUE(fs.create("/d").is_ok());
+  monitor.drain_collectors_once();
+  ASSERT_EQ(monitor.sharded().persisted(), 5u);
+  ASSERT_TRUE(wait_until([&] { return monitor.sharded().hub().frames_pumped() >= 4; }));
+  EXPECT_EQ(consumer->flow_state(), FlowState::kDemoted);
+
+  ASSERT_TRUE(consumer->start().is_ok());
+  ASSERT_TRUE(wait_until([&] {
+    return consumer->delivered() >= 5 && consumer->flow_state() == FlowState::kLive;
+  }));
+  consumer->stop();
+  std::lock_guard lock(mu);
+  ASSERT_EQ(received.size(), 5u);
+  for (std::size_t i = 0; i < received.size(); ++i)
+    EXPECT_EQ(received[i].id, static_cast<common::EventId>(i + 1));
+  EXPECT_EQ(received[2].kind, EventKind::kMovedFrom);
+  EXPECT_EQ(received[3].kind, EventKind::kMovedTo);
+  // The one live item queued before the demotion, which the catch-up
+  // had already delivered.
+  EXPECT_EQ(consumer->duplicates_suppressed(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// FanOutHub end-to-end: hub-mode delivery parity, slow-consumer
+// FanOutHub end-to-end: per-consumer filtered delivery, slow-consumer
 // demotion/promotion (gap-free, duplicate-free seam), eviction, and
 // min-ack forwarding to the reliable stores.
 #include <atomic>
@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/chaos/fault.hpp"
 #include "src/scalable/scalable_monitor.hpp"
+#include "src/transport/shm.hpp"
 
 namespace fsmon::scalable {
 namespace {
@@ -33,7 +35,6 @@ class FlowControlTest : public ::testing::Test {
   ScalableMonitorOptions options(bool with_store = true) {
     ScalableMonitorOptions o;
     o.collector.cache_size = 64;
-    o.fanout_hub = true;
     if (with_store) {
       eventstore::EventStoreOptions store;
       store.directory = dir_;
@@ -42,15 +43,25 @@ class FlowControlTest : public ::testing::Test {
     return o;
   }
 
-  /// Opens a consumer-stalling gate on scope exit, so a failed ASSERT
-  /// never deadlocks the consumer destructors on a blocked callback.
+  /// Opens a consumer-stalling gate. The flag is cleared under the
+  /// gate's mutex: a callback between its predicate check and its wait
+  /// would otherwise miss the notify and stay blocked.
+  static void open_gate(std::atomic<bool>& closed, std::mutex& mu,
+                        std::condition_variable& cv) {
+    {
+      std::lock_guard lock(mu);
+      closed.store(false);
+    }
+    cv.notify_all();
+  }
+
+  /// Opens the gate on scope exit, so a failed ASSERT never deadlocks
+  /// the consumer destructors on a blocked callback.
   struct GateGuard {
     std::atomic<bool>& closed;
+    std::mutex& mu;
     std::condition_variable& cv;
-    ~GateGuard() {
-      closed.store(false);
-      cv.notify_all();
-    }
+    ~GateGuard() { open_gate(closed, mu, cv); }
   };
 
   static bool wait_until(const std::function<bool()>& done,
@@ -72,7 +83,6 @@ TEST_F(FlowControlTest, HubDeliversPerConsumerFilteredSubsets) {
   fs.mkdir("/keep");
   fs.mkdir("/drop");
   ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
-  ASSERT_NE(monitor.hub(), nullptr);
 
   std::atomic<int> keep_count{0};
   std::atomic<int> all_count{0};
@@ -100,10 +110,10 @@ TEST_F(FlowControlTest, HubDeliversPerConsumerFilteredSubsets) {
   })) << "keep=" << keep_count.load() << " all=" << all_count.load()
       << " keep_state=" << to_string(keep->flow_state())
       << " all_state=" << to_string(all->flow_state())
-      << " frames=" << monitor.hub()->frames_pumped();
+      << " frames=" << monitor.sharded().hub().frames_pumped();
   EXPECT_EQ(keep->flow_state(), FlowState::kLive);
   EXPECT_EQ(all->flow_state(), FlowState::kLive);
-  EXPECT_GT(monitor.hub()->frames_pumped(), 0u);
+  EXPECT_GT(monitor.sharded().hub().frames_pumped(), 0u);
   // One shared hub receiver on the shard output, not one per consumer.
   keep->stop();
   all->stop();
@@ -113,14 +123,11 @@ TEST_F(FlowControlTest, HubDeliversPerConsumerFilteredSubsets) {
 }
 
 TEST_F(FlowControlTest, HubConsumerWithMetricsDeliversWithoutReceiver) {
-  // Regression: a hub-mode consumer has no private transport receiver,
-  // but a wired metrics registry still creates the overflow gauge — the
-  // instrumented delivery path used to dereference the null receiver on
-  // the first non-empty batch.
+  // A consumer owns no transport receiver; its instrumented delivery
+  // path counts every event and reads no lag once it has caught up.
   LustreFs fs(LustreFsOptions{}, clock);
   obs::MetricsRegistry registry;
   ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
-  ASSERT_NE(monitor.hub(), nullptr);
 
   std::atomic<int> count{0};
   ConsumerOptions metered_options;
@@ -138,7 +145,7 @@ TEST_F(FlowControlTest, HubConsumerWithMetricsDeliversWithoutReceiver) {
   monitor.stop();
 
   const obs::Labels labels{{"consumer", "metered"}};
-  EXPECT_EQ(registry.gauge("consumer.overflow_dropped", labels).value(), 0);
+  EXPECT_EQ(registry.gauge("consumer.delivery_lag_events", labels).value(), 0);
   EXPECT_EQ(registry.counter("consumer.events_delivered", labels).value(),
             static_cast<std::uint64_t>(kFiles));
 }
@@ -187,45 +194,56 @@ TEST_F(FlowControlTest, IdleSubscriberDoesNotPinStorePurge) {
 }
 
 TEST_F(FlowControlTest, HubStoppedBeforeStartDoesNotBlockShardSenders) {
-  // Regression: the constructor connects the hub's kBlock receiver to
-  // every shard, but stop() used to early-return when start() never ran,
-  // leaving the inbox open — once full it wedged the shard senders.
+  // The tier's hub attaches its kBlock receiver to the shard outputs
+  // only at the first subscription, together with the pump that drains
+  // it. Before that (the hub never started) the shard senders publish to
+  // nobody; after the last consumer leaves, the pump keeps draining.
+  // Either way a two-frame inbox never fills and wedges them.
   LustreFs fs(LustreFsOptions{}, clock);
-  ScalableMonitorOptions o;
-  o.collector.cache_size = 64;  // legacy topology; the dead hub is extra
+  ScalableMonitorOptions o = options();
+  o.collector.publish_batch = 1;  // one frame per event
+  o.flow.high_water_mark = 2;
   ScalableMonitor monitor(fs, o, clock);
-  FlowControlOptions flow;
-  flow.high_water_mark = 2;  // fills after two frames if left open
-  {
-    FanOutHub dead(monitor.sharded(), flow);
-    dead.stop();  // never started — must still close its inbox
-    dead.stop();  // stopping twice stays safe
-  }
+  ASSERT_TRUE(monitor.start().is_ok());
+  constexpr int kFiles = 64;
+  auto create_and_persist = [&](const std::string& prefix, int total) {
+    for (int i = 0; i < kFiles; ++i)
+      ASSERT_TRUE(fs.create(prefix + std::to_string(i)).is_ok());
+    ASSERT_TRUE(wait_until([&] {
+      return monitor.sharded().persisted() >= static_cast<std::uint64_t>(total);
+    }));
+  };
+  create_and_persist("/before", kFiles);
+  EXPECT_EQ(monitor.sharded().hub().frames_pumped(), 0u);
 
   std::atomic<int> count{0};
-  auto consumer = monitor.make_consumer("c", ConsumerOptions{},
-                                        [&](const StdEvent&) { count.fetch_add(1); });
-  ASSERT_TRUE(monitor.start().is_ok());
-  ASSERT_TRUE(consumer->start().is_ok());
-  constexpr int kFiles = 64;
-  for (int i = 0; i < kFiles; ++i)
-    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
-  ASSERT_TRUE(wait_until([&] { return count.load() >= kFiles; }));
-  consumer->stop();
+  {
+    auto consumer = monitor.make_consumer("c", ConsumerOptions{},
+                                          [&](const StdEvent&) { count.fetch_add(1); });
+    create_and_persist("/during", 2 * kFiles);
+    ASSERT_TRUE(wait_until([&] { return count.load() >= kFiles; }));
+  }
+  create_and_persist("/after", 3 * kFiles);
+  EXPECT_TRUE(wait_until(
+      [&] { return monitor.sharded().hub().frames_pumped() >= 2u * kFiles; }));
   monitor.stop();
   EXPECT_EQ(count.load(), kFiles);
 }
 
 TEST_F(FlowControlTest, StalledConsumerIsDemotedThenPromotedGapFree) {
+  // One frame larger than the credit window, and no traffic after it:
+  // the push that spends the window also queues the demotion marker, so
+  // the stalled consumer is demoted without waiting for another frame.
   LustreFs fs(LustreFsOptions{}, clock);
   obs::MetricsRegistry registry;
   ScalableMonitorOptions o = options();
   o.aggregator.metrics = &registry;
+  o.collector.batch_size = 2048;
+  o.collector.publish_batch = 2048;
   o.flow.credit_window = 256;
   ScalableMonitor monitor(fs, o, clock);
 
-  // The stalled consumer blocks inside its callback until released; its
-  // hub queue keeps growing, credits run out, the hub demotes it.
+  // The stalled consumer blocks inside its callback until released.
   std::atomic<bool> gate_closed{true};
   std::mutex gate_mu;
   std::condition_variable gate_cv;
@@ -247,34 +265,37 @@ TEST_F(FlowControlTest, StalledConsumerIsDemotedThenPromotedGapFree) {
   healthy_options.ack_interval = 16;
   auto healthy = monitor.make_consumer("healthy", healthy_options,
                                        [&](const StdEvent&) { healthy_count.fetch_add(1); });
-  GateGuard guard{gate_closed, gate_cv};
+  GateGuard guard{gate_closed, gate_mu, gate_cv};
+
+  // Created before start(): the collector reads them as one batch and
+  // publishes them as one frame.
+  constexpr int kEvents = 1000;
+  for (int i = 0; i < kEvents; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
   ASSERT_TRUE(monitor.start().is_ok());
   ASSERT_TRUE(stalled->start().is_ok());
   ASSERT_TRUE(healthy->start().is_ok());
 
-  constexpr int kEvents = 1000;
-  for (int i = 0; i < kEvents; ++i)
-    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
-
-  // Sibling isolation: the healthy consumer receives the full stream
-  // while its sibling is stalled — the stall never back-pressures the
-  // shared pump or the shard senders.
+  ASSERT_TRUE(wait_until([&] { return stalled->flow_state() == FlowState::kDemoted; }));
+  EXPECT_EQ(monitor.sharded().hub().frames_pumped(), 1u);
+  EXPECT_GE(registry.counter("flow.demotions").value(), 1u);
+  // Sibling isolation: the healthy consumer receives the whole stream
+  // (the frame spent its window too, so via its own catch-up) while its
+  // sibling is stalled.
   ASSERT_TRUE(wait_until([&] { return healthy_count.load() >= kEvents; }));
   EXPECT_TRUE(wait_until([&] { return healthy->flow_state() == FlowState::kLive; }));
-  // The hub noticed the exhausted window while the consumer was blocked.
-  ASSERT_TRUE(wait_until([&] { return stalled->flow_state() == FlowState::kDemoted; }));
-  EXPECT_GE(registry.counter("flow.demotions").value(), 1u);
 
-  // Release the stall: the consumer drains its queued live items, hits
+  // Release the stall: the consumer drains its queued live item, hits
   // the demotion marker, catches up from the store, and is promoted.
-  gate_closed.store(false);
-  gate_cv.notify_all();
+  open_gate(gate_closed, gate_mu, gate_cv);
   ASSERT_TRUE(wait_until([&] {
     std::lock_guard lock(seen_mu);
     return stalled_ids.size() >= kEvents;
-  }));
+  })) << "delivered " << stalled->delivered() << ", duplicates "
+      << stalled->duplicates_suppressed() << ", seen " << stalled->last_seen_id() << ", "
+      << to_string(stalled->flow_state());
   ASSERT_TRUE(wait_until([&] { return stalled->flow_state() == FlowState::kLive; }));
-  EXPECT_GE(registry.counter("flow.promotions").value(), 1u);
+  EXPECT_GE(registry.counter("flow.promotions").value(), 2u);
 
   stalled->stop();
   healthy->stop();
@@ -288,6 +309,7 @@ TEST_F(FlowControlTest, StalledConsumerIsDemotedThenPromotedGapFree) {
   EXPECT_EQ(unique.size(), stalled_ids.size()) << "duplicate delivery";
   EXPECT_EQ(*unique.begin(), 1u);
   EXPECT_EQ(*unique.rbegin(), static_cast<common::EventId>(kEvents));
+  EXPECT_EQ(healthy_count.load(), kEvents);
 }
 
 TEST_F(FlowControlTest, NeverDrainingConsumerIsEvicted) {
@@ -295,9 +317,11 @@ TEST_F(FlowControlTest, NeverDrainingConsumerIsEvicted) {
   obs::MetricsRegistry registry;
   ScalableMonitorOptions o = options();
   o.aggregator.metrics = &registry;
-  // Window and lag sized so the healthy consumer (which drains at memory
-  // speed and acks every 16 events) can never trip them, while the
-  // blocked sibling exhausts the window and blows past the lag bound.
+  // The blocked sibling exhausts the window, stops acknowledging and
+  // falls past the lag bound. The healthy consumer (which drains at
+  // memory speed and acks every 16 events) may still be demoted when the
+  // pump runs ahead of it, but it keeps acknowledging while it catches
+  // up from the store, so it is never evicted.
   o.flow.credit_window = 4096;
   o.flow.eviction_lag = 6000;
   ScalableMonitor monitor(fs, o, clock);
@@ -315,7 +339,7 @@ TEST_F(FlowControlTest, NeverDrainingConsumerIsEvicted) {
   });
   auto healthy = monitor.make_consumer("healthy", consumer_options,
                                        [&](const StdEvent&) { healthy_count.fetch_add(1); });
-  GateGuard guard{gate_closed, gate_cv};
+  GateGuard guard{gate_closed, gate_mu, gate_cv};
   ASSERT_TRUE(monitor.start().is_ok());
   ASSERT_TRUE(stalled->start().is_ok());
   ASSERT_TRUE(healthy->start().is_ok());
@@ -329,8 +353,7 @@ TEST_F(FlowControlTest, NeverDrainingConsumerIsEvicted) {
   EXPECT_GE(registry.counter("flow.evictions").value(), 1u);
 
   // Release the callback so the worker can observe the eviction marker.
-  gate_closed.store(false);
-  gate_cv.notify_all();
+  open_gate(gate_closed, gate_mu, gate_cv);
   ASSERT_TRUE(wait_until([&] { return stalled->evicted(); }));
   EXPECT_TRUE(wait_until([&] { return healthy->flow_state() == FlowState::kLive; }));
 
@@ -363,7 +386,7 @@ TEST_F(FlowControlTest, MinAckHoldsStorePurgeForDemotedConsumer) {
   });
   auto healthy = monitor.make_consumer("healthy", fast_options,
                                        [&](const StdEvent&) { healthy_count.fetch_add(1); });
-  GateGuard guard{gate_closed, gate_cv};
+  GateGuard guard{gate_closed, gate_mu, gate_cv};
   ASSERT_TRUE(monitor.start().is_ok());
   ASSERT_TRUE(stalled->start().is_ok());
   ASSERT_TRUE(healthy->start().is_ok());
@@ -379,8 +402,7 @@ TEST_F(FlowControlTest, MinAckHoldsStorePurgeForDemotedConsumer) {
   // demoted consumer still needs, so a purge reclaims nothing.
   EXPECT_EQ(monitor.sharded().purge(), 0u);
 
-  gate_closed.store(false);
-  gate_cv.notify_all();
+  open_gate(gate_closed, gate_mu, gate_cv);
   ASSERT_TRUE(wait_until([&] {
     return stalled_count.load() >= kEvents && stalled->flow_state() == FlowState::kLive;
   }));
@@ -390,6 +412,121 @@ TEST_F(FlowControlTest, MinAckHoldsStorePurgeForDemotedConsumer) {
                          std::chrono::seconds(10)));
 
   stalled->stop();
+  healthy->stop();
+  monitor.stop();
+}
+
+TEST_F(FlowControlTest, StorelessStalledConsumerBackPressuresThePump) {
+  // Without a store a slow consumer cannot be demoted to catch up later,
+  // so its queue must not grow without bound: the pump waits while the
+  // queue holds a credit window of events, and nothing is lost.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitorOptions o = options(/*with_store=*/false);
+  o.collector.publish_batch = 1;  // one frame per event
+  o.flow.credit_window = 64;
+  ScalableMonitor monitor(fs, o, clock);
+
+  std::atomic<bool> gate_closed{true};
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  std::atomic<int> stalled_count{0};
+  auto stalled = monitor.make_consumer("stalled", ConsumerOptions{}, [&](const StdEvent&) {
+    std::unique_lock lock(gate_mu);
+    gate_cv.wait(lock, [&] { return !gate_closed.load(); });
+    stalled_count.fetch_add(1);
+  });
+  GateGuard guard{gate_closed, gate_mu, gate_cv};
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(stalled->start().is_ok());
+
+  constexpr int kEvents = 1000;
+  for (int i = 0; i < kEvents; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  // The consumer holds one frame in its callback and the queue one
+  // window; the pump stops there, with the rest of the burst upstream.
+  auto& hub = monitor.sharded().hub();
+  ASSERT_TRUE(wait_until([&] { return hub.frames_pumped() >= 65u; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LE(hub.frames_pumped(), 65u);
+  EXPECT_EQ(stalled->flow_state(), FlowState::kLive);
+
+  open_gate(gate_closed, gate_mu, gate_cv);
+  ASSERT_TRUE(wait_until([&] { return stalled_count.load() >= kEvents; }))
+      << stalled_count.load();
+  stalled->stop();
+  monitor.stop();
+  EXPECT_EQ(stalled_count.load(), kEvents);
+  EXPECT_EQ(stalled->flow_state(), FlowState::kLive);
+}
+
+TEST_F(FlowControlTest, AckThatOutrunsPersistenceIsReforwarded) {
+  // The aggregator fans a frame out before persisting it, so a consumer
+  // can acknowledge ids the store has not appended yet. The store takes
+  // such an ack only up to what it holds; the hub re-sends the rest on
+  // its forwarding tick, so retention is released with no further ack.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(), clock);
+  ConsumerOptions consumer_options;
+  consumer_options.ack_interval = 1;
+  std::atomic<int> count{0};
+  auto consumer = monitor.make_consumer("c", consumer_options,
+                                        [&](const StdEvent&) { count.fetch_add(1); });
+  chaos::FaultPlan plan;
+  chaos::FaultRule hold_persist;
+  hold_persist.point = "aggregator.before_persist";
+  hold_persist.action = chaos::FaultAction::kDelay;
+  hold_persist.delay = std::chrono::milliseconds(500);
+  plan.rules.push_back(hold_persist);
+  chaos::ScopedFaultPlan faults(std::move(plan));
+
+  constexpr int kFiles = 8;
+  for (int i = 0; i < kFiles; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
+  ASSERT_TRUE(wait_until([&] { return count.load() >= kFiles; }));
+  // Delivered and acknowledged while the persist is held back.
+  EXPECT_EQ(monitor.sharded().persisted(), 0u);
+
+  std::size_t purged = 0;
+  EXPECT_TRUE(wait_until([&] {
+    purged += monitor.sharded().purge();
+    return purged >= kFiles;
+  }, std::chrono::seconds(10))) << "purged " << purged;
+  consumer->stop();
+  monitor.stop();
+}
+
+TEST_F(FlowControlTest, QueuedFramesDoNotPinShmRingRecords) {
+  // A subscription's queue holds frames for up to a credit window. Over
+  // shm the hub copies each frame out of its ring record, so a consumer
+  // that never drains cannot fill the ring and stall the shard sender
+  // for its siblings. Upstream, the persist thread must likewise release
+  // a committed group before it waits for the next one, or a group that
+  // took the whole inbox ring wedges the collector refilling it.
+  transport::ShmTransportOptions shm_options;
+  shm_options.ring_bytes = 1 << 14;
+  transport::ShmTransport shm(shm_options);  // outlives the monitor
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitorOptions o = options();
+  o.transport = &shm;
+  o.collector.publish_batch = 1;  // one small frame per event, through the ring
+  ScalableMonitor monitor(fs, o, clock);
+  auto never_started =
+      monitor.make_consumer("never-started", ConsumerOptions{}, [](const StdEvent&) {});
+  std::atomic<int> count{0};
+  auto healthy = monitor.make_consumer("healthy", ConsumerOptions{},
+                                       [&](const StdEvent&) { count.fetch_add(1); });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(healthy->start().is_ok());
+
+  // Far more one-event frames than the ring holds, all within the idle
+  // consumer's credit window, so all of them stay queued for it.
+  constexpr int kEvents = 1000;
+  for (int i = 0; i < kEvents; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return count.load() >= kEvents; })) << count.load();
+  EXPECT_EQ(never_started->flow_state(), FlowState::kLive);
   healthy->stop();
   monitor.stop();
 }

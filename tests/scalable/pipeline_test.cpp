@@ -1,7 +1,7 @@
 // End-to-end tests of the threaded scalable pipeline:
-// collectors -> aggregator -> consumers over the in-process transport,
-// and (TcpBridgeTest) with every hop on one loopback TcpTransport, the
-// one remote path: consumers get the whole stream and apply their rules.
+// collectors -> aggregator -> fan-out hub -> consumers over the
+// in-process transport, and (TcpBridgeTest) with every hop on one
+// loopback TcpTransport, the one remote path.
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
@@ -235,8 +235,8 @@ TEST_F(PipelineTest, ExactlyOneSerializationPerEventEndToEnd) {
 }
 
 TEST_F(PipelineTest, FilteredConsumerDecodesOnlyTheEventsItDelivers) {
-  // A filtered consumer matches on fields read straight out of the frame
-  // bytes and deserializes an event only when it delivers it: one
+  // The hub matches on fields read straight out of the frame bytes and
+  // the consumer deserializes an event only when it delivers it: one
   // deserialize call per delivered event, none for the ones it drops.
   // Without a store nothing else in the pipeline decodes.
   LustreFs fs(LustreFsOptions{}, clock);

@@ -114,7 +114,7 @@ if $run_tsan; then
   tsan_filter+=":FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
   tsan_filter+=":ByteIdentityTest.*"
   tsan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
-  tsan_filter+=":ConsumerDeliveryTest.*"
+  tsan_filter+=":ConsumerDeliveryTest.*:ConsumerReplayTest.*"
   ./build-tsan/tests/fsmon_tests --gtest_filter="$tsan_filter"
   (cd build-tsan && ctest -L concurrency --output-on-failure)
   (cd build-tsan && ctest -L nsindex --output-on-failure)
@@ -133,7 +133,7 @@ if $run_asan; then
   asan_filter="FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
   asan_filter+=":ByteIdentityTest.*:FrameTest.*:TcpReceiverTest.*"
   asan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
-  asan_filter+=":PipelineTest.*:ConsumerDeliveryTest.*"
+  asan_filter+=":PipelineTest.*:ConsumerDeliveryTest.*:ConsumerReplayTest.*"
   ./build-asan/tests/fsmon_tests --gtest_filter="$asan_filter"
   (cd build-asan && ctest -L concurrency --output-on-failure)
   (cd build-asan && ctest -L nsindex --output-on-failure)
