@@ -15,12 +15,15 @@
 // 10 subscribers for any fraction.
 //
 // Part 2 — stalled-consumer isolation. The hub pipeline runs the
-// same workload twice: healthy consumers only, then with a deliberately
-// stalled sibling (its callback blocks until the run ends). Credit-based
-// flow control must demote the stalled consumer instead of letting its
-// kBlock back-pressure stall the shared pump. Fails if healthy
-// aggregate throughput with the stalled sibling drops below 0.9x the
-// baseline.
+// same workload in interleaved pairs: healthy consumers only, then with
+// a deliberately stalled sibling (its callback blocks until the run
+// ends). Credit-based flow control must demote the stalled consumer
+// instead of letting its kBlock back-pressure stall the shared pump.
+// Fails if the median healthy aggregate throughput with the stalled
+// sibling drops below 0.9x the median baseline. Seven single pairs of
+// one build on a 4-core host read 0.77x to 1.54x, so one pair measures
+// host load rather than isolation.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -131,11 +134,14 @@ SweepResult run_sweep(std::size_t subscribers, double match_fraction) {
 
 // --- Part 2: stalled-consumer isolation over the real hub pipeline ----
 
-struct IsolationResult {
-  double baseline_eps = 0;   ///< Healthy events/sec, no stalled sibling.
-  double stalled_eps = 0;    ///< Healthy events/sec with a stalled sibling.
-  bool stalled_demoted = false;
-};
+/// Interleaved baseline/stalled pairs behind the isolation medians.
+constexpr int kIsolationPairs = 5;
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
+}
 
 double run_pipeline(const std::filesystem::path& store_dir, bool with_stalled,
                     bool* demoted) {
@@ -251,15 +257,27 @@ int main() {
   bench::banner("fan-out: stalled-consumer isolation (hub pipeline)");
   const auto root = std::filesystem::temp_directory_path() / "fsmon_bench_fanout";
   std::filesystem::remove_all(root);
-  bool demoted = false;
-  const double baseline_eps = run_pipeline(root / "baseline", false, nullptr);
-  const double stalled_eps = run_pipeline(root / "stalled", true, &demoted);
+  bool demoted = true;
+  std::vector<double> baseline_runs;
+  std::vector<double> stalled_runs;
+  for (int i = 0; i < kIsolationPairs; ++i) {
+    const std::string pair = std::to_string(i);
+    baseline_runs.push_back(run_pipeline(root / ("baseline" + pair), false, nullptr));
+    bool pair_demoted = false;
+    stalled_runs.push_back(run_pipeline(root / ("stalled" + pair), true, &pair_demoted));
+    demoted = demoted && pair_demoted;
+  }
   std::filesystem::remove_all(root);
+  const double baseline_eps = median(baseline_runs);
+  const double stalled_eps = median(stalled_runs);
+  const bool all_delivered =
+      std::count(baseline_runs.begin(), baseline_runs.end(), 0.0) == 0 &&
+      std::count(stalled_runs.begin(), stalled_runs.end(), 0.0) == 0;
   const double isolation = stalled_eps / std::max(baseline_eps, 1e-9);
   std::printf(
-      "healthy throughput: baseline %.0f ev/s, with stalled sibling %.0f ev/s "
-      "(%.2fx, stalled demoted: %s)\n",
-      baseline_eps, stalled_eps, isolation, demoted ? "yes" : "no");
+      "healthy throughput, median of %d interleaved pairs: baseline %.0f ev/s, "
+      "with stalled sibling %.0f ev/s (%.2fx, stalled demoted: %s)\n",
+      kIsolationPairs, baseline_eps, stalled_eps, isolation, demoted ? "yes" : "no");
 
   if (std::FILE* out = std::fopen("BENCH_fanout.json", "w")) {
     std::fprintf(out, "{\n  \"sweep\": [\n");
@@ -280,10 +298,12 @@ int main() {
       std::fprintf(out, "%s%.2f", i ? ", " : "", ratios[i]);
     std::fprintf(out, "],\n");
     std::fprintf(out,
-                 "  \"stalled_isolation\": {\"baseline_events_per_sec\": %.0f, "
+                 "  \"stalled_isolation\": {\"pairs\": %d, "
+                 "\"baseline_events_per_sec\": %.0f, "
                  "\"stalled_events_per_sec\": %.0f, \"ratio\": %.2f, "
                  "\"stalled_demoted\": %s}\n}\n",
-                 baseline_eps, stalled_eps, isolation, demoted ? "true" : "false");
+                 kIsolationPairs, baseline_eps, stalled_eps, isolation,
+                 demoted ? "true" : "false");
     std::fclose(out);
     std::printf("results: BENCH_fanout.json\n");
   }
@@ -293,7 +313,7 @@ int main() {
                 "10-subscriber cost\n");
     return 1;
   }
-  if (baseline_eps <= 0 || stalled_eps <= 0) {
+  if (!all_delivered) {
     std::printf("FAIL: a pipeline run did not deliver every event in time\n");
     return 1;
   }

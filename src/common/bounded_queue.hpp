@@ -69,9 +69,8 @@ class BoundedQueue {
   }
 
   /// Dequeue one item, waiting at most `timeout`. Returns nullopt on
-  /// timeout or when the queue is closed and drained — the group-commit
-  /// coalescing wait (a persist thread gives later batches `timeout` to
-  /// arrive before fsyncing the group it already holds).
+  /// timeout or when the queue is closed and drained (a receiver's timed
+  /// recv).
   template <typename Rep, typename Period>
   std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
     std::unique_lock lock(mu_);

@@ -4,9 +4,9 @@
 // received from the resolution layer into an event store (database).
 // Once events have been retrieved from FSMonitor, they are flagged as
 // having been reported and can be removed from the database. The size of
-// this database is configurable" (Section III-A3). The aggregator's
-// persister thread appends here; consumers replay historic events after
-// a failure via events_since().
+// this database is configurable" (Section III-A3). Each aggregator
+// shard's custody loop appends here before it publishes; consumers
+// replay historic events after a failure via events_since().
 //
 // Implementation: sealed WAL segments on disk are the authoritative
 // replay source. Each segment carries a sparse index (every K-th record

@@ -16,7 +16,6 @@ Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Cloc
     : name_(std::move(name)),
       options_(std::move(options)),
       clock_(clock),
-      persist_queue_(options_.persist_queue_capacity),
       meter_(clock) {
   if (options_.transport != nullptr) {
     transport_ = options_.transport;
@@ -34,6 +33,7 @@ Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Cloc
     if (store_options.labels.empty()) store_options.labels = options_.labels;
     store_ = std::make_unique<eventstore::EventStore>(store_options);
     next_id_.store(store_->last_id() + 1);
+    published_id_.store(store_->last_id());
     rebuild_accepted_from_store();
   }
   if (options_.metrics != nullptr) {
@@ -44,12 +44,6 @@ Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Cloc
         "recovery.gapped_frames", options_.labels,
         "Frames refused because they opened a hole above the durable watermark",
         "frames");
-    publish_retried_counter_ = &options_.metrics->counter(
-        "aggregator.publish_retries", options_.labels,
-        "Fan-out sends retried after a refusal with a live audience", "sends");
-    publish_abandoned_counter_ = &options_.metrics->counter(
-        "aggregator.publish_abandoned", options_.labels,
-        "Fan-out frames dropped after exhausting refusal retries", "frames");
   }
   if (options_.metrics != nullptr) {
     auto& registry = *options_.metrics;
@@ -61,7 +55,7 @@ Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Cloc
                                            "Events appended to the reliable store", "events");
     queue_depth_gauge_ = &registry.gauge(
         "aggregator.queue_depth", labels,
-        "Fan-in inbox plus persist-queue backlog at last pump", "events");
+        "Fan-in inbox backlog (frames) when the last frame was taken", "frames");
     queue_depth_peak_gauge_ = &registry.gauge("aggregator.queue_depth_peak", labels,
                                               "High-water mark of the fan-in backlog",
                                               "events");
@@ -77,16 +71,16 @@ Aggregator::Aggregator(std::string name, AggregatorOptions options, common::Cloc
         "aggregator.fanout_lag_us", labels,
         "Operation timestamp to aggregator publish (fan-out lag)", "us");
     batch_size_hist_ = &registry.histogram("aggregator.batch_size", labels,
-                                           "Events per batch frame pumped through the "
+                                           "Events per batch frame carried through the "
                                            "aggregator",
                                            "events");
     batch_bytes_hist_ = &registry.histogram("aggregator.batch_bytes", labels,
-                                            "Encoded bytes per batch frame pumped "
+                                            "Encoded bytes per batch frame carried "
                                             "through the aggregator",
                                             "bytes");
     group_size_hist_ = &registry.histogram(
         "wal.group_size", labels,
-        "Batch frames coalesced into one WAL commit group", "batches");
+        "Batch frames committed by one WAL append + flush", "batches");
     group_commit_latency_hist_ = &registry.histogram(
         "wal.group_commit_latency", labels,
         "Wall time to commit one group (append + fsync)", "us");
@@ -97,31 +91,24 @@ Aggregator::~Aggregator() { stop(); }
 
 Status Aggregator::start() {
   if (running_.load()) return Status::ok();
-  // A prior stop() closed the fan-in queues (they were fully drained by
-  // the exiting loops); reopen them so stop()/start() cycles resume.
-  input_->reopen();
-  persist_queue_.reopen();
+  // A prior stop() closed the inbox (drained by the exiting loop) and a
+  // crash closed it with a lost backlog; reopen it empty so stop()/start()
+  // and restart cycles resume. An inbox that was never closed keeps what
+  // was sent before the first start().
+  if (input_->closed()) input_->reopen();
   running_.store(true);
-  pump_thread_ = std::jthread([this](std::stop_token stop) { pump_loop(stop); });
-  if (store_ != nullptr) {
-    persist_thread_ = std::jthread([this](std::stop_token stop) { persist_loop(stop); });
-    if (options_.purge_interval.count() > 0)
-      purge_thread_ = std::jthread([this](std::stop_token stop) { purge_loop(stop); });
-  }
+  loop_thread_ = std::jthread([this](std::stop_token stop) { run_loop(stop); });
+  if (store_ != nullptr && options_.purge_interval.count() > 0)
+    purge_thread_ = std::jthread([this](std::stop_token stop) { purge_loop(stop); });
   return Status::ok();
 }
 
 void Aggregator::stop() {
   if (!running_.load()) return;
   input_->close();
-  if (pump_thread_.joinable()) {
-    pump_thread_.request_stop();
-    pump_thread_.join();
-  }
-  persist_queue_.close();
-  if (persist_thread_.joinable()) {
-    persist_thread_.request_stop();
-    persist_thread_.join();
+  if (loop_thread_.joinable()) {
+    loop_thread_.request_stop();
+    loop_thread_.join();
   }
   if (purge_thread_.joinable()) {
     purge_thread_.request_stop();
@@ -132,19 +119,24 @@ void Aggregator::stop() {
 
 void Aggregator::crash() {
   crashed_.store(true);
-  if (!running_.load()) return;
-  // Same teardown as stop(), but pump/persist exit on the crashed flag
+  if (!running_.load()) {
+    // Stopped (stepped draining): the inbox dies with the process all
+    // the same, and start() reopens it empty.
+    input_->close();
+    return;
+  }
+  // Same teardown as stop(), but the loop exits on the crashed flag
   // without draining: whatever was buffered is lost, like process memory.
   stop();
 }
 
 Status Aggregator::restart() {
   // A self-inflicted fail-stop (injected crash, store append failure)
-  // exits the worker loops but leaves running_ set; finish the teardown
-  // before recovering.
-  if (crashed_.load() && running_.load()) crash();
+  // exits the worker loop but leaves running_ set and the inbox open;
+  // finish the teardown before recovering.
+  if (crashed_.load()) crash();
   if (running_.load()) return Status::ok();
-  // The queues stay closed until start() reopens them (empty: a real
+  // The inbox stays closed until start() reopens it (empty: a real
   // restart starts with no process memory). Reopening here would open a
   // drop window: a rewound collector could replay into the inbox while
   // store recovery below is still running, and start()'s reopen would
@@ -154,13 +146,18 @@ Status Aggregator::restart() {
     // Release the old handle first (it holds the active WAL segment open),
     // then run genuine recovery from disk: segment scan, torn-tail
     // truncation, id resumption.
+    std::unique_lock lock(store_mu_);
     store_.reset();
     eventstore::EventStoreOptions store_options = *options_.store;
     if (store_options.metrics == nullptr) store_options.metrics = options_.metrics;
     if (store_options.labels.empty()) store_options.labels = options_.labels;
     store_ = std::make_unique<eventstore::EventStore>(store_options);
-    next_id_.store(store_->last_id() + 1);
+    published_id_.store(store_->last_id());
   }
+  // Ids resume after the last published (= last durable) id, so a
+  // shard's published ids stay dense: ids the crash took from frames it
+  // never published are handed out again.
+  next_id_.store(published_id_.load() + 1);
   rebuild_accepted_from_store();
   crashed_.store(false);
   return start();
@@ -169,14 +166,12 @@ Status Aggregator::restart() {
 std::size_t Aggregator::drain_once() {
   if (running_.load()) return 0;
   std::size_t frames = 0;
-  while (auto message = input_->try_recv()) {
-    if (process_frame(*message)) ++frames;
-    if (crashed_.load(std::memory_order_relaxed)) break;
-  }
-  // Persist as groups of one: chaos schedules (crash on the Nth persist)
-  // stay per-batch deterministic under synchronous draining.
-  while (auto batch = persist_queue_.try_pop()) {
-    if (!persist_group(std::span(&*batch, 1))) break;
+  // Groups of one: chaos schedules (crash on the Nth persist) stay
+  // per-batch deterministic under synchronous draining.
+  while (!crashed_.load(std::memory_order_relaxed)) {
+    auto message = input_->try_recv();
+    if (!message) break;
+    frames += run_group(std::move(*message), 0);
   }
   return frames;
 }
@@ -208,7 +203,7 @@ void Aggregator::rebuild_accepted_from_store() {
                status.to_string());
 }
 
-bool Aggregator::process_frame(transport::Frame& message) {
+bool Aggregator::process_frame(transport::Frame& message, std::vector<Custody>& group) {
   // Sole-owner fast path: the collector adopted the buffer, every hop
   // since was a refcount move, so this hands out the original bytes for
   // the in-place id patch. A shared frame (multi-subscriber fan-in)
@@ -276,22 +271,15 @@ bool Aggregator::process_frame(transport::Frame& message) {
     deduped_.fetch_add(dropped);
     if (deduped_counter_ != nullptr) deduped_counter_->inc(dropped);
   }
-  if (!source.empty() && frame_max_seq > watermark)
-    accepted_seq_[source] = frame_max_seq;
   if (kept.empty()) {
     // Nothing new. The ack still has to flow (a replayed-and-fully-
     // deduped batch must eventually clear from the changelog), but the
     // watermark only proves the records were *accepted* — the original
-    // frame may still be waiting in the persist queue. Acking here
-    // would let the changelog clear records that die with the process
-    // if that persist fails, so route the ack through the persist queue
-    // as an ack-only marker: it lands only after everything accepted
-    // before it is durable.
-    if (store_ != nullptr) {
-      persist_queue_.push(PersistBatch{0, std::move(source), frame_max_seq, {}});
-    } else {
-      ack(source, frame_max_seq);
-    }
+    // frame may still be in this uncommitted group. Acking here would let
+    // the changelog clear records that die with the process if that
+    // commit fails, so the ack rides the group as an ack-only marker: it
+    // is released only after everything accepted before it is durable.
+    group.push_back(Custody{0, 0, std::move(source), frame_max_seq, {}});
     return false;
   }
   if (dropped > 0) {
@@ -313,22 +301,33 @@ bool Aggregator::process_frame(transport::Frame& message) {
       return false;
     }
     if (outcome.action == chaos::FaultAction::kDelay) clock_.sleep_for(outcome.delay);
-    if (outcome.action == chaos::FaultAction::kDrop) return false;
+    if (outcome.action == chaos::FaultAction::kDrop) {
+      // The watermark has not moved, so the source's next frame is gap-
+      // refused; the nack replays this one too, and also covers a
+      // source's first frame, which the gap check exempts.
+      if (nack_callback_ && !source.empty()) nack_callback_(source, watermark);
+      return false;
+    }
   }
+  // Raised only for a frame that survived the fault point: a dropped
+  // frame must leave a hole the next frame's gap check can see.
+  if (!source.empty() && frame_max_seq > watermark) accepted_seq_[source] = frame_max_seq;
 
+  // Claim the ids only once the patch succeeded: a claimed id that is
+  // never published would read as a hole to the hub.
   const std::size_t count = view.value().count;
-  const common::EventId first_id = next_id_.fetch_add(count);
+  const common::EventId first_id = next_id_.load();
   if (auto patched = core::patch_batch_ids(frame, first_id); !patched) {
     FSMON_WARN("aggregator", "dropping unpatchable batch frame: ",
                patched.status().to_string());
     return false;
   }
+  next_id_.fetch_add(count);
   aggregated_.fetch_add(count);
   meter_.record(count);
   if (aggregated_counter_ != nullptr) {
     aggregated_counter_->inc(count);
-    const auto depth =
-        static_cast<std::int64_t>(input_->pending() + persist_queue_.size());
+    const auto depth = static_cast<std::int64_t>(input_->pending());
     queue_depth_gauge_->set(depth);
     queue_depth_peak_gauge_->set_max(depth);
     publish_rate_gauge_->set(static_cast<std::int64_t>(meter_.snapshot().average_rate));
@@ -344,212 +343,155 @@ bool Aggregator::process_frame(transport::Frame& message) {
             std::chrono::duration_cast<std::chrono::microseconds>(lag).count()));
     }
   }
-  // Fan-out and persist share the same frame bytes: send() bumps the
-  // refcount per subscriber, the persister keeps one more ref. No copy
-  // is made on either path.
-  //
-  // A refusal here (accepted == 0 with a live audience) is the same
-  // suffix-loss hazard the collector tier guards against: the frame is
-  // about to be persisted and acked upstream, so nothing would ever
-  // replay it to consumers. Retry while the audience is alive — the
-  // refusal is a transient (reconnect window, injected drop) — and only
-  // give up after a bounded back-off so a permanently dead consumer
-  // cannot wedge the publish thread. receivers == 0 stays droppable:
-  // nobody is listening, the store has the bytes.
-  auto sent = output_->send(options_.output_topic, message.payload);
-  for (int attempt = 0; sent.accepted == 0 && sent.receivers > 0 && attempt < 50;
-       ++attempt) {
-    if (publish_retried_counter_ != nullptr) publish_retried_counter_->inc();
-    clock_.sleep_for(std::chrono::milliseconds(1));
-    sent = output_->send(options_.output_topic, message.payload);
-  }
-  if (sent.accepted == 0 && sent.receivers > 0) {
-    FSMON_WARN("aggregator", "fan-out still refused after retries; dropping frame ",
-               "for topic ", options_.output_topic);
-    if (publish_abandoned_counter_ != nullptr) publish_abandoned_counter_->inc();
-  }
-  if (store_ != nullptr) {
-    persist_queue_.push(PersistBatch{first_id, std::move(source), frame_max_seq,
-                                     std::move(message.payload)});
-  } else {
-    // No durable store: custody ends at fan-out, ack immediately.
-    ack(source, frame_max_seq);
-  }
+  group.push_back(Custody{first_id, first_id + count - 1, std::move(source), frame_max_seq,
+                          std::move(message.payload)});
   return true;
 }
 
-void Aggregator::pump_loop(std::stop_token) {
-  // Publishing thread: drain the fan-in inbox one batch frame at a time,
-  // assign an id block with a single fetch_add, patch the ids into the
-  // already-encoded frame (no re-serialization), fan the frame out, and
-  // hand the same bytes to the persister.
+void Aggregator::run_loop(std::stop_token) {
   for (;;) {
     if (crashed_.load(std::memory_order_relaxed)) break;
     auto message = input_->recv();
     if (!message) break;  // closed and drained
-    process_frame(*message);
+    run_group(std::move(*message), options_.wal_group_commit_bytes);
   }
 }
 
-bool Aggregator::persist_group(std::span<PersistBatch> group) {
-  // Per-batch fault points first: chaos schedules count batches, not
-  // groups, so a plan like "crash on the 3rd persist" fires at the same
-  // batch it did under per-batch commit. A crash admits only the prefix
-  // ahead of the firing batch — that prefix commits and acks (it would
-  // have been durable before the crash under the old schedule), the
-  // firing batch and everything after it die unacked.
-  std::size_t admitted = group.size();
-  bool crash_after_commit = false;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    auto outcome = chaos::fault("aggregator.before_persist");
-    if (!outcome && !options_.fault_scope.empty())
-      outcome = chaos::fault(options_.fault_scope + "before_persist");
-    if (!outcome) continue;
-    if (outcome.action == chaos::FaultAction::kCrash) {
-      admitted = i;
-      crash_after_commit = true;
-      break;
-    }
-    if (outcome.action == chaos::FaultAction::kDelay) clock_.sleep_for(outcome.delay);
+std::size_t Aggregator::run_group(transport::Frame first, std::size_t byte_budget) {
+  std::size_t frames = 0;
+  std::size_t bytes = 0;
+  std::optional<transport::Frame> message = std::move(first);
+  while (message) {
+    bytes += message->payload.size();
+    if (process_frame(*message, group_)) ++frames;
+    if (crashed_.load(std::memory_order_relaxed) || bytes >= byte_budget) break;
+    message = input_->try_recv();
   }
-  group = group.first(admitted);
+  if (!crashed_.load(std::memory_order_relaxed)) release(group_);
+  // Drop the group's frames before blocking on the inbox again: over shm
+  // each one pins its ring record, and a ring filled by one group would
+  // otherwise wedge the sender that has to refill the inbox.
+  group_.clear();
+  return frames;
+}
 
-  // Slice the admitted group into payload spans. Ids are consecutive
-  // across the whole group (one pump thread assigns them in queue order;
-  // ack-only markers carry no ids so they never break a run), so the
-  // entire group commits with ONE vectored store append and ONE flush.
+void Aggregator::release(std::span<Custody> group) {
+  bool crash_after_commit = false;
+  if (store_ != nullptr) {
+    // Per-batch fault points first: chaos schedules count batches, not
+    // groups, so a plan like "crash on the 3rd persist" fires at the
+    // same batch whatever the grouping. A crash admits only the prefix
+    // ahead of the firing batch: that prefix commits, publishes and
+    // acks; the firing batch and everything after it die unacked.
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      auto outcome = chaos::fault("aggregator.before_persist");
+      if (!outcome && !options_.fault_scope.empty())
+        outcome = chaos::fault(options_.fault_scope + "before_persist");
+      if (!outcome) continue;
+      if (outcome.action == chaos::FaultAction::kCrash) {
+        group = group.first(i);
+        crash_after_commit = true;
+        break;
+      }
+      if (outcome.action == chaos::FaultAction::kDelay) clock_.sleep_for(outcome.delay);
+    }
+    if (!commit(group)) return;
+  }
+  // Committed: publish. A send the hub refuses is not retried; the hub
+  // sees the hole in this shard's dense ids and repairs it from the
+  // store. The last reference moves into the send, so a single-receiver
+  // hop never bumps the refcount.
+  for (Custody& batch : group) {
+    if (batch.frame.empty()) continue;
+    output_->send(options_.output_topic, std::move(batch.frame));
+    published_id_.store(batch.last_id);
+  }
+  for (const Custody& batch : group) ack(batch.source, batch.last_seq);
+  if (crash_after_commit) crashed_.store(true);
+}
+
+bool Aggregator::commit(std::span<Custody> group) {
+  // Ids are consecutive across the whole group (one loop assigns them in
+  // inbox order; ack-only markers carry no ids, so they never break a
+  // run), so the group commits with ONE vectored append and ONE flush.
   std::vector<std::span<const std::byte>> payloads;
+  std::vector<std::size_t> batch_ends;  // payloads.size() after each data batch
   common::EventId first_id = 0;
-  std::size_t data_batches = 0;
-  bool torn_crash = false;
-  std::uint64_t torn_keep = 0;
-  for (auto& batch : group) {
+  for (const Custody& batch : group) {
     if (batch.frame.empty()) continue;  // ack-only marker
     const auto frame = batch.frame.bytes();
-    // CRC was verified (and rewritten by the id patch) in the pump; only
-    // the structure is needed to slice out per-event payloads.
+    // The CRC was verified (and rewritten by the id patch) in
+    // process_frame; only the structure is needed to slice out payloads.
     auto view = core::view_batch(frame, /*verify_crc=*/false);
     if (!view) {
-      FSMON_ERROR("aggregator", "persist batch unreadable: ", view.status().to_string());
+      FSMON_ERROR("aggregator", "commit batch unreadable: ", view.status().to_string());
       crashed_.store(true);
       return false;
     }
-    if (data_batches == 0) first_id = batch.first_id;
-    ++data_batches;
+    if (batch_ends.empty()) first_id = batch.first_id;
     for (const auto& [offset, length] : view.value().events)
       payloads.push_back(frame.subspan(offset, length));
+    batch_ends.push_back(payloads.size());
+  }
+  if (batch_ends.empty()) return true;
+
+  // Torn-group fault, evaluated once per commit group: kCrash keeps a
+  // prefix of the group's batches (outcome.arg of them) durable but
+  // crashes before ANY of them is published or acked — the replayed
+  // suffix dedups against the store's watermark after restart, and the
+  // hub repairs the durable prefix from the store. kFail is a fail-stop
+  // with nothing written.
+  bool torn_crash = false;
+  auto torn = chaos::fault("wal.group_commit_torn");
+  if (!torn && !options_.fault_scope.empty())
+    torn = chaos::fault(options_.fault_scope + "group_commit_torn");
+  if (torn) {
+    if (torn.action == chaos::FaultAction::kCrash) {
+      torn_crash = true;
+      const std::size_t keep = std::min<std::uint64_t>(torn.arg, batch_ends.size());
+      payloads.resize(keep == 0 ? 0 : batch_ends[keep - 1]);
+    } else if (torn.action == chaos::FaultAction::kFail ||
+               torn.action == chaos::FaultAction::kDrop) {
+      FSMON_ERROR("aggregator", "injected group-commit failure (fail-stop)");
+      crashed_.store(true);
+      return false;
+    } else if (torn.action == chaos::FaultAction::kDelay) {
+      clock_.sleep_for(torn.delay);
+    }
   }
 
-  if (data_batches > 0) {
-    // Torn-group fault, evaluated once per commit group: kCrash keeps a
-    // prefix of the group's batches (outcome.arg of them) durable but
-    // crashes before ANY ack is released — the replayed suffix dedups
-    // against the store's watermark after restart. kFail is a fail-stop
-    // with nothing written.
-    auto torn = chaos::fault("wal.group_commit_torn");
-    if (!torn && !options_.fault_scope.empty())
-      torn = chaos::fault(options_.fault_scope + "group_commit_torn");
-    if (torn) {
-      if (torn.action == chaos::FaultAction::kCrash) {
-        torn_crash = true;
-        torn_keep = std::min<std::uint64_t>(torn.arg, data_batches);
-      } else if (torn.action == chaos::FaultAction::kFail ||
-                 torn.action == chaos::FaultAction::kDrop) {
-        FSMON_ERROR("aggregator", "injected group-commit failure (fail-stop)");
-        crashed_.store(true);
-        return false;
-      } else if (torn.action == chaos::FaultAction::kDelay) {
-        clock_.sleep_for(torn.delay);
-      }
-    }
-    if (torn_crash) {
-      // Truncate the commit to the torn prefix: re-slice payloads from
-      // the first `torn_keep` data batches only.
-      payloads.clear();
-      std::size_t kept_batches = 0;
-      for (auto& batch : group) {
-        if (batch.frame.empty()) continue;
-        if (kept_batches == torn_keep) break;
-        const auto frame = batch.frame.bytes();
-        auto view = core::view_batch(frame, /*verify_crc=*/false);
-        for (const auto& [offset, length] : view.value().events)
-          payloads.push_back(frame.subspan(offset, length));
-        ++kept_batches;
-      }
-    }
-
-    // Modeled commit latency (paper: one MySQL commit per stored group),
-    // paid before the append so the group is durable only after the
-    // round trip — exactly where a real remote commit would block.
-    if (options_.commit_latency.count() > 0) clock_.sleep_for(options_.commit_latency);
-    const auto commit_start = std::chrono::steady_clock::now();
-    if (!payloads.empty()) {
-      if (auto s = store_->append_batch(first_id, payloads); !s.is_ok()) {
-        // Fail-stop: dropping the group here would break the "acked
-        // implies durable" invariant, so the stage crashes instead. The
-        // events stay unacked in the changelog and replay after restart.
-        FSMON_ERROR("aggregator", "event store append failed (fail-stop): ", s.to_string());
-        crashed_.store(true);
-        return false;
-      }
-    }
-    if (torn_crash) {
-      // Torn mid-group: a durable prefix exists but the process died
-      // before the group's fsync was acknowledged to anyone — no batch
-      // of this group gets acked.
+  // Modeled commit latency (paper: one MySQL commit per stored group),
+  // paid before the append so the group is durable only after the round
+  // trip — exactly where a real remote commit would block.
+  if (options_.commit_latency.count() > 0) clock_.sleep_for(options_.commit_latency);
+  const auto commit_start = std::chrono::steady_clock::now();
+  if (!payloads.empty()) {
+    if (auto s = store_->append_batch(first_id, payloads); !s.is_ok()) {
+      // Fail-stop: publishing or acking the group here would break the
+      // "seen or acked implies durable" invariant, so the stage crashes
+      // instead. The events stay unacked in the changelog and replay
+      // after restart.
+      FSMON_ERROR("aggregator", "event store append failed (fail-stop): ", s.to_string());
       crashed_.store(true);
       return false;
     }
-    commit_groups_.fetch_add(1);
-    if (group_size_hist_ != nullptr) group_size_hist_->record(data_batches);
-    if (group_commit_latency_hist_ != nullptr) {
-      const auto commit_us = std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - commit_start);
-      group_commit_latency_hist_->record(static_cast<std::uint64_t>(commit_us.count()));
-    }
-    persisted_.fetch_add(payloads.size());
-    if (persisted_counter_ != nullptr) persisted_counter_->inc(payloads.size());
   }
-
-  // The whole group is durable: release acks in queue order, markers
-  // included (everything queued ahead of a marker committed with or
-  // before this group).
-  for (auto& batch : group) ack(batch.source, batch.last_seq);
-
-  if (crash_after_commit) {
+  if (torn_crash) {
+    // Torn mid-group: a durable prefix exists but the process died
+    // before the group's flush was acknowledged to anyone.
     crashed_.store(true);
     return false;
   }
-  return true;
-}
-
-void Aggregator::persist_loop(std::stop_token) {
-  std::vector<PersistBatch> group;
-  for (;;) {
-    if (crashed_.load(std::memory_order_relaxed)) break;
-    auto first = persist_queue_.pop();
-    if (!first) break;
-    group.push_back(std::move(*first));
-    // Group commit: coalesce whatever is already queued (and optionally
-    // wait wal_group_commit_us for stragglers) up to the byte budget,
-    // then commit the whole group with one vectored append + one fsync.
-    if (options_.wal_group_commit_bytes > 0) {
-      std::size_t bytes = group.back().frame.size();
-      while (bytes < options_.wal_group_commit_bytes) {
-        auto next = persist_queue_.try_pop();
-        if (!next && options_.wal_group_commit_us.count() > 0)
-          next = persist_queue_.pop_for(options_.wal_group_commit_us);
-        if (!next) break;
-        bytes += next->frame.size();
-        group.push_back(std::move(*next));
-      }
-    }
-    persist_group(group);
-    // Drop the committed frames before blocking on the queue again: over
-    // shm each one pins its ring record, and a ring filled by one group
-    // would otherwise wedge the sender that has to refill the queue.
-    group.clear();
+  commit_groups_.fetch_add(1);
+  if (group_size_hist_ != nullptr) group_size_hist_->record(batch_ends.size());
+  if (group_commit_latency_hist_ != nullptr) {
+    const auto commit_us = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - commit_start);
+    group_commit_latency_hist_->record(static_cast<std::uint64_t>(commit_us.count()));
   }
+  persisted_.fetch_add(payloads.size());
+  if (persisted_counter_ != nullptr) persisted_counter_->inc(payloads.size());
+  return true;
 }
 
 void Aggregator::purge_loop(std::stop_token stop) {
@@ -568,21 +510,33 @@ void Aggregator::purge_loop(std::stop_token stop) {
 
 Result<std::vector<core::StdEvent>> Aggregator::events_since(common::EventId after_id,
                                                              std::size_t max_events) const {
-  if (store_ == nullptr)
-    return Status(common::ErrorCode::kUnavailable, "aggregator has no event store");
+  auto stored = stored_since(after_id, max_events);
+  if (!stored) return stored.status();
   std::vector<core::StdEvent> out;
-  for (const auto& stored : store_->events_since(after_id, max_events)) {
-    auto decoded = core::deserialize_event(stored.payload);
+  for (const auto& event : stored.value()) {
+    auto decoded = core::deserialize_event(event.payload);
     if (!decoded) return decoded.status();
     out.push_back(std::move(decoded.value().first));
   }
   return out;
 }
 
-common::EventId Aggregator::acknowledge(common::EventId up_to_id) {
-  return store_ != nullptr ? store_->mark_reported(up_to_id) : up_to_id;
+Result<std::vector<eventstore::StoredEvent>> Aggregator::stored_since(
+    common::EventId after_id, std::size_t max_events) const {
+  std::shared_lock lock(store_mu_);
+  if (store_ == nullptr)
+    return Status(common::ErrorCode::kUnavailable, "aggregator has no event store");
+  return store_->events_since(after_id, max_events);
 }
 
-std::size_t Aggregator::purge() { return store_ == nullptr ? 0 : store_->purge_reported(); }
+void Aggregator::acknowledge(common::EventId up_to_id) {
+  std::shared_lock lock(store_mu_);
+  if (store_ != nullptr) store_->mark_reported(up_to_id);
+}
+
+std::size_t Aggregator::purge() {
+  std::shared_lock lock(store_mu_);
+  return store_ == nullptr ? 0 : store_->purge_reported();
+}
 
 }  // namespace fsmon::scalable

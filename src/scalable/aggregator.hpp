@@ -1,39 +1,38 @@
 // Aggregator service: runs on the MGS (paper Section IV "Aggregation").
 //
 // Subscribes to every collector's sender (fan-in), assigns global event
-// ids, and runs two worker threads exactly as the paper describes: "one
-// thread is responsible for publishing the aggregated file system events
-// to the subscribed consumers, and the other thread stores the events
-// into a local database to enable fault tolerance." The database is the
-// reliable event store; consumers replay from it via events_since().
+// ids, stores the events in the reliable event store and publishes them
+// to the subscribed consumers; consumers replay from the store via
+// events_since(). The paper runs publishing and storing on two threads;
+// here one custody loop does both, in order: it takes a frame from the
+// inbox plus whatever else the inbox already holds (up to
+// wal_group_commit_bytes), dedups and id-patches each frame, commits the
+// group with one store append and one flush, publishes each frame, and
+// only then releases the collectors' acks in queue order. Every id a
+// consumer sees is therefore durable, and a shard's published ids are
+// dense: a frame the fan-out refused is a hole the hub repairs from the
+// store (see flow_control.hpp). Without a store the loop is the same
+// minus the append, and a refused frame is lost.
 //
 // Both stage boundaries ride the transport::Transport interface: frames
 // arrive on a Receiver and fan out through a Sender as immutable
 // ref-counted FrameRefs, so the aggregator never copies the encoded
-// batch — id patching happens in place and the persister shares the
+// batch — id patching happens in place and the store appends the
 // published bytes. By default the aggregator owns an InProcTransport;
 // injecting AggregatorOptions::transport rebases the same pipeline onto
 // shared-memory rings or TCP without the stage noticing.
-//
-// The persist path is an async group commit: the persist thread
-// coalesces whatever batches are already queued (bounded by
-// wal_group_commit_bytes, optionally waiting wal_group_commit_us for
-// stragglers) and commits the whole group with one store append and one
-// flush. Acks — including ack-only markers — are released strictly in
-// queue order, and only after the group's commit, so the exactly-once
-// acked-implies-durable invariant is untouched.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/common/bounded_queue.hpp"
 #include "src/common/clock.hpp"
 #include "src/common/rate_meter.hpp"
 #include "src/core/event.hpp"
@@ -45,7 +44,6 @@ namespace fsmon::scalable {
 
 struct AggregatorOptions {
   std::size_t inbox_high_water_mark = 1 << 16;
-  std::size_t persist_queue_capacity = 1 << 16;
   /// Topic the aggregator publishes resolved events under.
   std::string output_topic = "fsmon/events";
   /// Transport the input/output endpoints are created on. Null (default)
@@ -54,17 +52,12 @@ struct AggregatorOptions {
   transport::Transport* transport = nullptr;
   /// Reliable store configuration; nullopt disables fault tolerance.
   std::optional<eventstore::EventStoreOptions> store;
-  /// Group-commit byte budget: the persist thread keeps coalescing
-  /// already-queued batches into one commit group until the group holds
-  /// this many frame bytes. 0 commits each batch individually (the
-  /// pre-group-commit behaviour; the shard-scaling bench uses it so its
-  /// modeled per-batch commit latency stays per batch).
+  /// Group-commit byte budget: the custody loop keeps taking frames the
+  /// inbox already holds into one commit group until the group holds
+  /// this many frame bytes. It never waits for more. 0 commits each
+  /// batch individually (the shard-scaling bench uses it so its modeled
+  /// per-batch commit latency stays per batch).
   std::size_t wal_group_commit_bytes = 1 << 20;
-  /// Group-commit time budget: how long the persist thread waits for
-  /// further batches once it holds at least one and the byte budget is
-  /// not yet full. 0 (default) only coalesces what is already queued —
-  /// no added latency, deterministic for drains.
-  common::Duration wal_group_commit_us{};
   /// Period of the automatic purge cycle removing acknowledged events
   /// ("events ... can be removed from the data store when next data
   /// purge cycle is initiated", Section IV). Zero disables the cycle;
@@ -85,10 +78,10 @@ struct AggregatorOptions {
   std::string fault_scope;
   /// Modeled durable-commit latency per commit group (the paper's
   /// aggregator commits each batch to MySQL; this stands in for that
-  /// round trip). Slept for real in the persist thread, once per group.
-  /// Zero (default) for production paths; the shard scaling bench sets
-  /// it (with group commit off) so the per-shard persist threads have
-  /// genuine latency to overlap.
+  /// round trip). Slept for real in the custody loop, once per group,
+  /// when a store is configured. Zero (default) for production paths;
+  /// the shard scaling bench sets it (with group commit off) so the
+  /// per-shard loops have genuine latency to overlap.
   common::Duration commit_latency{};
 };
 
@@ -96,10 +89,9 @@ class Aggregator {
  public:
   /// Durable-custody acknowledgement: every event of `source` whose
   /// changelog record index is <= `record_index` is persisted (or, with
-  /// no store configured, fanned out). The scalable monitor routes these
+  /// no store configured, published). The scalable monitor routes these
   /// back to the owning collector, which clears the changelog up to the
-  /// acked index. Invoked from the persist thread (or the pump thread
-  /// when storeless / on duplicate drops).
+  /// acked index. Invoked from the custody loop.
   using AckCallback = std::function<void(std::string_view source,
                                          std::uint64_t record_index)>;
   /// Negative acknowledgement: a frame from `source` started above
@@ -109,8 +101,9 @@ class Aggregator {
   /// send already succeeded; without a back-channel the gap wedges the
   /// pipeline forever (every later frame is also above the hole). The
   /// monitor routes nacks to the owning collector, which rewinds to the
-  /// cleared index and re-publishes the unacked suffix. Invoked from
-  /// the pump thread.
+  /// cleared index and re-publishes the unacked suffix. A frame dropped
+  /// at the aggregator.before_publish fault point is nacked the same
+  /// way. Invoked from the custody loop.
   using NackCallback = std::function<void(std::string_view source,
                                           std::uint64_t watermark)>;
 
@@ -129,21 +122,22 @@ class Aggregator {
   void stop();
 
   /// Fail-stop as a crash harness would: worker threads exit immediately,
-  /// buffered frames (inbox + persist queue) are lost exactly as a real
-  /// process crash would lose them. Unpersisted events were never acked,
-  /// so collectors re-publish them after restart().
+  /// buffered frames are lost exactly as a real process crash would lose
+  /// them. Uncommitted events were never acked, so collectors re-publish
+  /// them after restart().
   void crash();
-  /// Restart after crash(): reopen the queues empty, recover the event
+  /// Restart after crash(): reopen the inbox empty, recover the event
   /// store from disk (WAL torn-tail scan included), resume id assignment
-  /// after the last durable id, rebuild the per-source dedup watermarks
-  /// from the recovered events, and start the worker threads.
+  /// after the last durable id (which becomes the published id), rebuild
+  /// the per-source dedup watermarks from the recovered events, and
+  /// start the worker threads.
   common::Status restart();
   bool crashed() const { return crashed_.load(); }
 
-  /// Synchronously pump whatever is buffered (deterministic tests; only
-  /// valid while the worker threads are not running). Returns frames
-  /// processed. Persists as groups of one so chaos schedules stay
-  /// per-batch deterministic.
+  /// Synchronously run the custody loop over whatever is buffered
+  /// (deterministic tests; only valid while the worker threads are not
+  /// running). Returns frames that carried new events. Commits groups of
+  /// one so chaos schedules stay per-batch deterministic.
   std::size_t drain_once();
 
   /// Transport this aggregator's endpoints live on.
@@ -162,52 +156,57 @@ class Aggregator {
   /// Historic replay from the reliable store (consumer fault recovery).
   common::Result<std::vector<core::StdEvent>> events_since(
       common::EventId after_id, std::size_t max_events = SIZE_MAX) const;
+  /// The same replay as stored payloads, not yet decoded.
+  common::Result<std::vector<eventstore::StoredEvent>> stored_since(
+      common::EventId after_id, std::size_t max_events) const;
 
   /// Consumers acknowledge delivery; acknowledged events are removed at
-  /// the next purge cycle. Returns the acknowledged watermark in force:
-  /// the store clamps an ack to the ids it has appended, so an ack that
-  /// outruns persistence is taken only in part and must be re-sent.
-  /// Without a store there is nothing to hold back and `up_to_id` is
-  /// returned.
-  common::EventId acknowledge(common::EventId up_to_id);
+  /// the next purge cycle.
+  void acknowledge(common::EventId up_to_id);
   std::size_t purge();
 
   common::EventId last_event_id() const { return next_id_.load() - 1; }
+  /// Last id handed to the fan-out; with a store, always durable.
+  common::EventId published_id() const { return published_id_.load(); }
   std::uint64_t aggregated() const { return aggregated_.load(); }
   std::uint64_t persisted() const { return persisted_.load(); }
   std::uint64_t purge_cycles() const { return purge_cycles_.load(); }
   /// Replayed events dropped by the per-source (MDT, record-index) dedup.
   std::uint64_t deduped() const { return deduped_.load(); }
-  /// Commit groups flushed by the persist thread.
+  /// Commit groups flushed by the custody loop.
   std::uint64_t commit_groups() const { return commit_groups_.load(); }
   double publish_rate() const { return meter_.average_rate(); }
   const eventstore::EventStore* store() const { return store_.get(); }
 
  private:
-  /// An id-patched, already-encoded batch frame handed from the pump to
-  /// the persister. The frame bytes are shared with the published copy —
-  /// the persist path never re-serializes and never duplicates.
-  /// `source`/`last_seq` carry the durability ack the persister owes the
-  /// originating collector; an empty frame is an ack-only marker.
-  struct PersistBatch {
+  /// One frame of a custody group: an id-patched batch the store appends
+  /// and the fan-out publishes, plus the ack (`source`, `last_seq`) owed
+  /// to its collector. An empty frame is an ack-only marker.
+  struct Custody {
     common::EventId first_id = 0;
+    common::EventId last_id = 0;
     std::string source;
     std::uint64_t last_seq = 0;
     transport::FrameRef frame;
   };
 
-  void pump_loop(std::stop_token stop);
-  void persist_loop(std::stop_token stop);
+  void run_loop(std::stop_token stop);
   void purge_loop(std::stop_token stop);
-  /// One pump iteration: dedup replays, assign ids, fan out, enqueue for
-  /// persistence. Returns false if the frame was dropped (corrupt or
-  /// fully duplicate) or the stage crashed.
-  bool process_frame(transport::Frame& message);
-  /// Commit one group: per-batch before_persist faults, one torn-group
-  /// fault evaluation, one store append + flush for the whole group,
-  /// then acks in queue order. Returns false when the stage crashed (no
-  /// batch of the group was acked unless its prefix committed first).
-  bool persist_group(std::span<PersistBatch> group);
+  /// Take `first` plus what the inbox already holds, up to `byte_budget`
+  /// frame bytes, and carry the group through custody. Returns frames
+  /// that carried new events.
+  std::size_t run_group(transport::Frame first, std::size_t byte_budget);
+  /// Dedup replays, check for gaps, assign and patch ids, and append the
+  /// frame (or its ack-only marker) to `group`. Returns false if the
+  /// frame carried no new events (corrupt, refused, dropped or fully
+  /// duplicate) or the stage crashed.
+  bool process_frame(transport::Frame& message, std::vector<Custody>& group);
+  /// Commit (with a store), then publish every data frame, then release
+  /// the acks in queue order.
+  void release(std::span<Custody> group);
+  /// One torn-group fault evaluation, then one store append and flush.
+  /// Returns false when the stage crashed.
+  bool commit(std::span<Custody> group);
   void ack(std::string_view source, std::uint64_t record_index);
   void rebuild_accepted_from_store();
 
@@ -220,13 +219,16 @@ class Aggregator {
   transport::Transport* transport_ = nullptr;
   std::shared_ptr<transport::Receiver> input_;
   std::shared_ptr<transport::Sender> output_;
+  /// Held shared by callers from other threads (the hub's acks, consumer
+  /// replays, purge) and exclusively by restart(), which replaces store_.
+  mutable std::shared_mutex store_mu_;
   std::unique_ptr<eventstore::EventStore> store_;
-  common::BoundedQueue<PersistBatch> persist_queue_;
   common::RateMeter meter_;
-  std::jthread pump_thread_;
-  std::jthread persist_thread_;
+  std::jthread loop_thread_;
+  std::vector<Custody> group_;  ///< The current custody group, reused.
   std::jthread purge_thread_;
   std::atomic<common::EventId> next_id_{1};
+  std::atomic<common::EventId> published_id_{0};
   std::atomic<std::uint64_t> aggregated_{0};
   std::atomic<std::uint64_t> persisted_{0};
   std::atomic<std::uint64_t> purge_cycles_{0};
@@ -239,12 +241,10 @@ class Aggregator {
   /// Per-source highest accepted changelog record index. Replayed events
   /// at or below their source's watermark are duplicates of already-
   /// accepted (persisted) events and are trimmed before id assignment.
-  /// Touched only by the pump thread (or drain_once when stopped).
+  /// Touched only by the custody loop (or drain_once when stopped).
   std::map<std::string, std::uint64_t, std::less<>> accepted_seq_;
   obs::Counter* deduped_counter_ = nullptr;
   obs::Counter* gapped_counter_ = nullptr;
-  obs::Counter* publish_retried_counter_ = nullptr;
-  obs::Counter* publish_abandoned_counter_ = nullptr;
   obs::Counter* aggregated_counter_ = nullptr;
   obs::Counter* persisted_counter_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;

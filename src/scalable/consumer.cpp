@@ -164,10 +164,9 @@ void Consumer::deliver_item(const HubItem& item) {
   core::EventBatch batch;
   std::lock_guard lock(deliver_mu_);
   hub_processed_since_ack_ += item.indices.size();
-  // Duplicates are judged by (source, cookie), never by id: a record a
-  // store replay already delivered (catch-up, restart) comes back with
-  // the same cookie, while ids are reassigned when an aggregator shard
-  // loses its unpersisted tail and its collectors re-publish.
+  // Duplicates are judged by (source, cookie): a record a store replay
+  // already delivered (catch-up, restart) comes back live with the same
+  // cookie.
   pick_fresh_locked(matched, /*dedup_filter=*/true, picked);
   // Once per frame: the watermark moves to the frame's last id, and the
   // events between it and the previous one that are not delivered here
@@ -401,11 +400,9 @@ void Consumer::catch_up(std::stop_token stop) {
       if (got >= options_.replay_page) return false;  // more backlog
       target = hub_.try_promote(*hub_sub_, cursor);
     }
-    if (target && reached(cursor, *target)) return true;
-    // Still too far behind (the head keeps moving), or the persister
-    // has not yet caught up with the published head.
-    if (got == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return false;
+    // Every id up to the hub's head is durable, so the store always
+    // reaches the promotion watermark; short of it, the head moved on.
+    return target && reached(cursor, *target);
   });
   if (target && reached(cursor, *target)) {
     // Acknowledge past the promotion watermark now: until it does, the

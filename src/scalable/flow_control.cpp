@@ -11,10 +11,9 @@ namespace fsmon::scalable {
 using common::Status;
 
 namespace {
-/// Min-ack forwarding tick: the pump forwards this often, busy or idle,
-/// so consumer acks, an ack the stores clamped (it outran persistence)
-/// and the watermark of subscriptions that never ack all reach the
-/// stores on one schedule.
+/// The pump's tick: this often, busy or idle, it forwards consumer acks
+/// and the watermark of subscriptions that never ack to the stores, and
+/// looks for a refused last frame.
 constexpr auto kForwardInterval = std::chrono::milliseconds(10);
 
 /// A demoted subscription whose acknowledged cursor has not moved for
@@ -75,6 +74,11 @@ FlowMetrics FlowMetrics::create(obs::MetricsRegistry& registry,
   m.evictions = &registry.counter(
       "flow.evictions", labels,
       "Demoted subscriptions evicted for never draining", "evictions");
+  m.gaps = &registry.counter(
+      "flow.gaps", labels,
+      "Ids missing from a shard's published stream (refused sends); repaired "
+      "from the store, or lost without one",
+      "events");
   m.live = &registry.gauge("flow.live_subscribers", labels,
                            "Subscriptions in live delivery", "subscribers");
   m.demoted = &registry.gauge("flow.demoted_subscribers", labels,
@@ -91,7 +95,8 @@ FanOutHub::FanOutHub(ShardedAggregator& aggregator, FlowControlOptions options)
                  ? SubIndexMetrics::create(*options.metrics)
                  : SubIndexMetrics{}),
       heads_(aggregator.shard_count()),
-      forwarded_(aggregator.shard_count()) {
+      forwarded_(aggregator.shard_count()),
+      overdue_(aggregator.shard_count()) {
   if (options_.credit_window == 0) options_.credit_window = 1;
   if (options_.promote_lag == 0)
     options_.promote_lag = std::max<std::uint64_t>(1, options_.credit_window / 4);
@@ -120,7 +125,7 @@ void FanOutHub::attach_locked() {
   // Events published before the first subscription are historic, as for
   // any subscription made later. Read after connecting: a frame that
   // raced the connect is either below this watermark or pumped live.
-  const VectorCursor head = aggregator_.head_cursor();
+  const VectorCursor head = aggregator_.published_cursor();
   for (std::size_t k = 0; k < head.size(); ++k) heads_.advance(k, head.at(k));
   pump_thread_ = std::jthread([this](std::stop_token stop) { pump(stop); });
 }
@@ -273,11 +278,23 @@ void FanOutHub::announce_heads_locked() {
   }
 }
 
-void FanOutHub::evict_overdue_locked(const VectorCursor& persisted) {
+void FanOutHub::repair_locked(std::size_t shard, common::EventId last_missing) {
+  const std::uint64_t missing = last_missing - heads_.at(shard);
+  heads_.advance(shard, last_missing);
+  if (metrics_.gaps != nullptr) metrics_.gaps->inc(missing);
+  if (!can_demote_) {
+    FSMON_WARN("fanout", "shard ", shard, " lost ", missing,
+               " refused events (no store to repair from)");
+    return;
+  }
+  for (const auto& sub : subs_) {
+    if (sub && sub->state_ == FlowState::kLive) demote_locked(*sub);
+  }
+}
+
+void FanOutHub::evict_overdue_locked() {
   if (options_.eviction_lag == 0 || demoted_.empty()) return;
-  // Lag is measured against what the stores hold, not the pumped head:
-  // a demoted consumer can page only persisted events.
-  const std::uint64_t reachable = persisted.sum();
+  const std::uint64_t reachable = heads_.sum();
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < demoted_.size();) {
     auto& sub = subs_[demoted_[i]];
@@ -305,11 +322,19 @@ void FanOutHub::evict_overdue_locked(const VectorCursor& persisted) {
 }
 
 void FanOutHub::tick() {
-  const VectorCursor persisted =
-      can_demote_ && options_.eviction_lag != 0 ? aggregator_.persisted_cursor() : VectorCursor{};
+  // Published ids first, then the inbox: a frame published before the
+  // read is either still in the inbox (not idle) or was refused.
+  const VectorCursor published = aggregator_.published_cursor();
+  const bool idle = receiver_->pending() == 0;
   std::unique_lock lock(mu_);
+  for (std::size_t k = 0; k < heads_.size(); ++k) {
+    // Published a tick ago and still not pumped, with nothing left to
+    // pump: the send was refused.
+    if (idle && overdue_.at(k) > heads_.at(k)) repair_locked(k, overdue_.at(k));
+    overdue_.last_ids[k] = idle && published.at(k) > heads_.at(k) ? published.at(k) : 0;
+  }
   announce_heads_locked();
-  evict_overdue_locked(persisted);
+  evict_overdue_locked();
   VectorCursor min_cursor = heads_;
   bool any = false;
   for (const auto& sub : subs_) {
@@ -333,13 +358,10 @@ void FanOutHub::tick() {
   for (std::size_t k = 0; k < min_cursor.size(); ++k)
     advanced = advanced || min_cursor.at(k) > forwarded_.at(k);
   if (!advanced) return;
-  // Outside the lock: the store persists its watermark to a file. It
-  // takes an ack only up to what it has persisted; record what it took,
-  // so the rest is re-sent on the next tick.
+  for (std::size_t k = 0; k < min_cursor.size(); ++k) forwarded_.advance(k, min_cursor.at(k));
+  // Outside the lock: the store persists its watermark to a file.
   lock.unlock();
-  const VectorCursor taken = aggregator_.acknowledge(min_cursor);
-  lock.lock();
-  for (std::size_t k = 0; k < taken.size(); ++k) forwarded_.advance(k, taken.at(k));
+  aggregator_.acknowledge(min_cursor);
 }
 
 std::size_t FanOutHub::shard_of_topic(std::string_view topic) const {
@@ -424,10 +446,16 @@ void FanOutHub::pump_frame(transport::FrameRef frame, std::string_view topic,
   // delivered at all is copied out.
   if (!delivery.touched().empty() && hub_frame->frame.borrowed()) own_bytes(*hub_frame);
 
+  // A shard's ids are dense and its frames carry consecutive ids.
+  const common::EventId first_id = last_id + 1 - hub_frame->view.count;
   std::shared_ptr<const HubFrame> shared = std::move(hub_frame);
   std::vector<std::shared_ptr<Subscription>> full;  // storeless back-pressure
   std::unique_lock lock(mu_);
   pending_valid_ = false;
+  // Late for a hole the tick already repaired (a link slower than two
+  // ticks): the store serves it to every subscription.
+  if (last_id <= heads_.at(shard)) return;
+  if (first_id > heads_.at(shard) + 1) repair_locked(shard, first_id - 1);
   heads_.advance(shard, last_id);
   for (SubscriberId id : delivery.touched()) {
     if (id >= subs_.size() || !subs_[id]) continue;

@@ -24,9 +24,8 @@
 // reaches the live watermark it asks to be promoted; promotion hands it
 // a fresh window and the watermark to replay up to, so the hand-off is
 // gap-free and duplicate-free. A demoted consumer that has stopped
-// acknowledging and lags what the stores have persisted by more than
-// `eviction_lag` is evicted — it stops holding the store's retention
-// window hostage. Without a store there is nothing to catch up from, so
+// acknowledging and lags the hub's head by more than `eviction_lag` is
+// evicted — it stops holding the store's retention window hostage. Without a store there is nothing to catch up from, so
 // a storeless hub never demotes or evicts; it back-pressures instead:
 // the pump waits while a subscription's queue holds a credit window of
 // events, which bounds the queue and stalls the tier behind the slow
@@ -42,9 +41,15 @@
 // Acknowledgement forwarding: the hub forwards the element-wise MINIMUM
 // acked cursor across all non-evicted subscriptions to the shard stores,
 // so a purge can never drop an event a consumer still needs. It does so
-// on the same tick. The stores clamp an ack to what they have persisted
-// (fan-out runs ahead of the persist thread), so the hub records only
-// what they took and re-sends the rest on the next tick.
+// on the same tick.
+//
+// Gap repair: shards commit before they publish, so every (shard, id)
+// the hub sees is durable and each shard's ids are dense. A frame whose
+// first id is above its shard's head + 1, or a shard whose published id
+// stays above the head for two idle ticks (a refused last frame), is a
+// hole: the hub advances the head past it and demotes every live
+// subscription to page it from the store. Without a store the hole is
+// counted in flow.gaps and its events are lost.
 #pragma once
 
 #include <atomic>
@@ -117,9 +122,9 @@ struct FlowControlOptions {
   /// A demoted consumer may be promoted once its replay cursor is within
   /// this many events of the live watermark. 0 = credit_window / 4.
   std::uint64_t promote_lag = 0;
-  /// Evict a demoted subscription whose acknowledged cursor lags what
-  /// the stores have persisted by more than this many events and has not
-  /// advanced for a second. 0 disables eviction.
+  /// Evict a demoted subscription whose acknowledged cursor lags the
+  /// hub's head by more than this many events and has not advanced for a
+  /// second. 0 disables eviction.
   std::uint64_t eviction_lag = 0;
   /// Pump inbox high-water mark (frames).
   std::size_t high_water_mark = 1 << 16;
@@ -133,6 +138,7 @@ struct FlowMetrics {
   obs::Counter* demotions = nullptr;
   obs::Counter* promotions = nullptr;
   obs::Counter* evictions = nullptr;
+  obs::Counter* gaps = nullptr;
   obs::Gauge* live = nullptr;
   obs::Gauge* demoted = nullptr;
 
@@ -225,12 +231,15 @@ class FanOutHub {
   /// Queue an item; returns whether the queue now holds a credit window.
   bool push_item(Subscription& sub, HubItem item);
   void demote_locked(Subscription& sub);
-  /// The pump's tick (takes mu_): queue watermark items, evict stalled
-  /// demoted subscriptions, and forward the min acked cursor across
-  /// non-evicted subscriptions to the stores.
+  /// The pump's tick (takes mu_): repair a refused last frame, queue
+  /// watermark items, evict stalled demoted subscriptions, and forward
+  /// the min acked cursor across non-evicted subscriptions to the stores.
   void tick();
+  /// Advance `shard`'s head to `last_missing` and demote every live
+  /// subscription (storeless: only count the gap).
+  void repair_locked(std::size_t shard, common::EventId last_missing);
   void announce_heads_locked();
-  void evict_overdue_locked(const VectorCursor& persisted);
+  void evict_overdue_locked();
   std::size_t shard_of_topic(std::string_view topic) const;
   void update_gauges_locked();
 
@@ -249,7 +258,9 @@ class FanOutHub {
   std::vector<std::shared_ptr<Subscription>> subs_;
   std::vector<SubscriberId> demoted_;  ///< Ids to check for eviction.
   VectorCursor heads_;                 ///< Per-shard last pumped id.
-  VectorCursor forwarded_;             ///< Per-shard ack the stores took.
+  VectorCursor forwarded_;             ///< Per-shard ack last forwarded.
+  /// Per shard, the published id above heads_ at the last idle tick.
+  VectorCursor overdue_;
   std::size_t live_count_ = 0;
   std::size_t demoted_count_ = 0;
   /// The frame the pump is currently matching but has not yet committed

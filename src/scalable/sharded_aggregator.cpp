@@ -83,45 +83,62 @@ Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
   std::vector<core::StdEvent> out;
   if (max_events == 0) return out;
 
-  // One buffered page per shard; refilled independently as heads drain,
-  // so an arbitrarily deep merged backlog materializes at most
-  // n * chunk events at a time. No store lock is held between fetches —
-  // each events_since call pages out of the store and returns.
+  // One page of stored payloads per shard, refilled independently as
+  // heads drain, so an arbitrarily deep merged backlog holds at most
+  // n * chunk records at a time. The merge reads timestamps, sources and
+  // cookies in place and decodes only the events it returns: heads left
+  // over when the page fills are read again by the next page, never
+  // decoded twice. No store lock is held between fetches.
   const std::size_t chunk =
       std::min<std::size_t>(4096, std::max<std::size_t>(max_events / n, 1));
   struct Head {
-    std::vector<core::StdEvent> page;
+    std::vector<eventstore::StoredEvent> page;
     std::size_t pos = 0;
     bool exhausted = false;
+    common::TimePoint timestamp{};  ///< Of the head payload.
   };
   std::vector<Head> heads(n);
   auto refill = [&](std::size_t k) -> Status {
-    Head& head = heads[k];
-    head.page.clear();
-    head.pos = 0;
-    auto events = shards_[k]->events_since(cursor.last_ids[k], chunk);
-    if (!events) return events.status();
-    head.page = std::move(events.value());
-    if (head.page.size() < chunk) head.exhausted = true;
+    auto page = shards_[k]->stored_since(cursor.last_ids[k], chunk);
+    if (!page) return page.status();
+    heads[k].page = std::move(page).take();
+    heads[k].pos = 0;
+    heads[k].exhausted = heads[k].page.size() < chunk;
     return Status::ok();
+  };
+  // Shard k's head payload; empty once the shard is drained.
+  auto head = [&](std::size_t k) -> std::span<const std::byte> {
+    const Head& h = heads[k];
+    if (h.pos >= h.page.size()) return {};
+    return h.page[h.pos].payload;
+  };
+  // Read whenever a head moves. A corrupt payload keeps the old value;
+  // decoding it reports the error.
+  auto peek_timestamp = [&](std::size_t k) {
+    if (auto t = core::peek_event_timestamp(head(k))) heads[k].timestamp = t.value();
   };
   for (std::size_t k = 0; k < n; ++k) {
     if (auto s = refill(k); !s.is_ok()) return s;
+    peek_timestamp(k);
   }
+  auto same_record = [](std::span<const std::byte> a, std::span<const std::byte> b) {
+    auto cookie = core::peek_event_cookie(a);
+    auto other_cookie = core::peek_event_cookie(b);
+    auto source = core::peek_event_source(a);
+    auto other_source = core::peek_event_source(b);
+    return cookie && other_cookie && source && other_source && cookie.value() != 0 &&
+           cookie.value() == other_cookie.value() && source.value() == other_source.value();
+  };
 
   std::size_t last = n;  // shard of the last event taken
+  std::vector<std::byte> last_payload;
   for (;;) {
     std::size_t best = n;
     if (out.size() >= max_events) {
       // Full, unless the next event of the last one's shard is the other
       // half of its (source, cookie) pair: take it too, so no page ends
       // inside a rename.
-      const core::StdEvent& tail = out.back();
-      const Head& head = heads[last];
-      if (tail.cookie == 0 || head.pos >= head.page.size() ||
-          head.page[head.pos].cookie != tail.cookie ||
-          head.page[head.pos].source != tail.source)
-        break;
+      if (!same_record(last_payload, head(last))) break;
       best = last;
     } else {
       // Pop the smallest (timestamp, shard) head. Head comparison only:
@@ -129,32 +146,31 @@ Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
       // disturbed, so the merged stream restricted to one shard IS that
       // shard's replay — the permutation-free contract.
       for (std::size_t k = 0; k < n; ++k) {
-        const Head& head = heads[k];
-        if (head.pos >= head.page.size()) continue;
-        if (best == n ||
-            head.page[head.pos].timestamp < heads[best].page[heads[best].pos].timestamp)
-          best = k;
+        if (head(k).empty()) continue;
+        if (best == n || heads[k].timestamp < heads[best].timestamp) best = k;
       }
       if (best == n) break;  // every shard drained
     }
     last = best;
-    core::StdEvent& event = heads[best].page[heads[best].pos++];
-    cursor.last_ids[best] = event.id;
-    out.push_back(std::move(event));
-    if (heads[best].pos >= heads[best].page.size() && !heads[best].exhausted) {
+    eventstore::StoredEvent& stored = heads[best].page[heads[best].pos++];
+    auto decoded = core::deserialize_event(stored.payload);
+    if (!decoded) return decoded.status();
+    cursor.last_ids[best] = stored.id;
+    out.push_back(std::move(decoded.value().first));
+    last_payload = std::move(stored.payload);
+    if (head(best).empty() && !heads[best].exhausted) {
       if (auto s = refill(best); !s.is_ok()) return s;
     }
+    peek_timestamp(best);
   }
   return out;
 }
 
-VectorCursor ShardedAggregator::acknowledge(const VectorCursor& cursor) {
-  VectorCursor taken(shards_.size());
+void ShardedAggregator::acknowledge(const VectorCursor& cursor) {
   const std::size_t n = std::min(cursor.size(), shards_.size());
   for (std::size_t k = 0; k < n; ++k) {
-    if (cursor.last_ids[k] > 0) taken.last_ids[k] = shards_[k]->acknowledge(cursor.last_ids[k]);
+    if (cursor.last_ids[k] > 0) shards_[k]->acknowledge(cursor.last_ids[k]);
   }
-  return taken;
 }
 
 std::size_t ShardedAggregator::purge() {
@@ -169,12 +185,10 @@ std::uint64_t ShardedAggregator::last_event_id_sum() const {
   return total;
 }
 
-VectorCursor ShardedAggregator::persisted_cursor() const {
+VectorCursor ShardedAggregator::published_cursor() const {
   VectorCursor cursor(shards_.size());
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const auto* store = shards_[k]->store();
-    cursor.last_ids[k] = store != nullptr ? store->last_id() : shards_[k]->last_event_id();
-  }
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    cursor.last_ids[k] = shards_[k]->published_id();
   return cursor;
 }
 

@@ -2,7 +2,7 @@
 // item 1).
 //
 // N full Aggregators — each with its own inbox, id sequence, WAL/store,
-// persist thread and per-source dedup watermarks — behind one
+// custody loop and per-source dedup watermarks — behind one
 // ShardRouter that assigns every collector frame to exactly one shard
 // by event source (see shard_map.hpp). With shards == 1 the tier is
 // byte-for-byte the old single aggregator: same endpoint names, same
@@ -93,25 +93,15 @@ class ShardedAggregator {
       VectorCursor& cursor, std::size_t max_events = SIZE_MAX) const;
 
   /// Per-shard acknowledgement of everything at or below the cursor.
-  /// Returns, per shard, the acknowledged watermark the store holds
-  /// (see Aggregator::acknowledge).
-  VectorCursor acknowledge(const VectorCursor& cursor);
+  void acknowledge(const VectorCursor& cursor);
   std::size_t purge();
 
   /// Sum of per-shard head ids: total events assigned ids so far
   /// (delivery-lag arithmetic against VectorCursor::sum()).
   std::uint64_t last_event_id_sum() const;
-  /// Per-shard head ids as a cursor (lag and promotion arithmetic for
-  /// the fan-out hub's flow control).
-  VectorCursor head_cursor() const {
-    VectorCursor cursor(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      cursor.last_ids[k] = shards_[k]->last_event_id();
-    return cursor;
-  }
-  /// Per-shard last persisted ids (a shard without a store reports its
-  /// head): how far a store replay can reach.
-  VectorCursor persisted_cursor() const;
+  /// Per-shard published ids (Aggregator::published_id): where the hub
+  /// attaches, and how it finds a shard's refused last frame.
+  VectorCursor published_cursor() const;
   std::uint64_t aggregated() const;
   std::uint64_t persisted() const;
   bool any_crashed() const;

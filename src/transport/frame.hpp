@@ -1,7 +1,7 @@
 // FrameRef: an immutable, ref-counted handle to one encoded batch frame.
 //
 // Every hop of the pipeline (collector -> router -> shard aggregator ->
-// consumers / persist queue) moves the same already-encoded
+// store and consumers) moves the same already-encoded
 // CRC-trailed frame bytes. Before the transport layer existed each hop
 // copied the frame into the next stage's inbox; a FrameRef makes the
 // handoff a shared_ptr bump instead, and the process-wide frame_copies()
@@ -17,7 +17,7 @@
 //     release hook runs when the last FrameRef drops, returning the
 //     region to its owner. Consumers therefore read ring frames in
 //     place and the ring reclaims the record only after every retainer
-//     (fan-out, persist queue) is done with it.
+//     (the custody group, the fan-out) is done with it.
 //
 // mutable_bytes() supports the aggregator's in-place id patch: when the
 // ref is the sole owner the underlying buffer is handed out directly

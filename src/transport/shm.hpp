@@ -4,7 +4,7 @@
 // frame bytes once into each subscribed receiver's ring, and the
 // receiver hands them out as borrowing FrameRefs — the consumer reads
 // the batch in place and the record is reclaimed when the last retainer
-// (fan-out, persist queue) drops its ref. No heap copy happens on the
+// (the custody group, the fan-out) drops its ref. No heap copy happens on the
 // hop, which the frame.copies counter asserts structurally.
 //
 // The rings here live in process memory. A true cross-process deployment

@@ -22,8 +22,8 @@
 //     the ring until its FrameRef drops.
 //   - tail_: producer reclaim cursor; advances over kReleased records.
 //
-// Release is out of order by design — the persist queue may hold frame
-// N while frame N+1's consumers already finished — so each record
+// Release is out of order by design — a shard's custody group may hold
+// frame N while frame N+1's consumers already finished — so each record
 // carries a state word flipped to kReleased by the FrameRef's release
 // hook (any thread, std::atomic_ref), and the producer reclaims in tail
 // order as far as the first still-live record.

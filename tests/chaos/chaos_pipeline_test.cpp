@@ -207,6 +207,34 @@ class ChaosPipelineTest : public ::testing::Test {
     EXPECT_TRUE(predicate());
   }
 
+  /// Stepped run over one MDT: one aggregator.before_publish kDrop hits
+  /// the frame of /b, which is the source's first frame or follows /a.
+  /// After /c and a few more drains the store holds every record once
+  /// and the changelog retains nothing.
+  void expect_dropped_publish_replayed(bool first_frame) {
+    LustreFs fs(LustreFsOptions{}, clock_);
+    ScalableMonitor monitor(fs, options(dir_), clock_);
+    if (!first_frame) {
+      ASSERT_TRUE(fs.create("/a").is_ok());
+      monitor.drain_collectors_once();
+    }
+    chaos::FaultPlan plan;
+    chaos::FaultRule drop;
+    drop.point = "aggregator.before_publish";
+    drop.action = chaos::FaultAction::kDrop;
+    plan.rules.push_back(drop);
+    chaos::FaultInjector::instance().arm(std::move(plan));
+    ASSERT_TRUE(fs.create("/b").is_ok());
+    monitor.drain_collectors_once();
+    EXPECT_EQ(chaos::FaultInjector::instance().fires("aggregator.before_publish"), 1u);
+    chaos::FaultInjector::instance().disarm();
+
+    ASSERT_TRUE(fs.create("/c").is_ok());
+    for (int i = 0; i < 5; ++i) monitor.drain_collectors_once();
+    EXPECT_EQ(fs.mds(0).mdt().changelog().retained(), 0u);
+    verify_exactly_once(collect_store(monitor), fs, "store");
+  }
+
   std::filesystem::path dir_;
   common::RealClock clock_;
 };
@@ -380,6 +408,19 @@ TEST_F(ChaosPipelineTest, TornPersistCrashRecoversExactlyOnce) {
   EXPECT_EQ(torn_fires, 1u);
   consumer->stop();
   monitor.stop();
+}
+
+TEST_F(ChaosPipelineTest, DroppedPublishIsNotClearedByTheNextAck) {
+  // A drop leaves the source's watermark where it was, so the next frame
+  // is gap-refused, and nacks the source, so both replay: no ack clears
+  // the dropped record.
+  expect_dropped_publish_replayed(/*first_frame=*/false);
+}
+
+TEST_F(ChaosPipelineTest, DroppedFirstPublishOfASourceIsReplayed) {
+  // A source's first frame is exempt from the gap check: only the drop's
+  // nack gets it replayed.
+  expect_dropped_publish_replayed(/*first_frame=*/true);
 }
 
 TEST_F(ChaosPipelineTest, SeededFaultScheduleSweepIsExactlyOnce) {

@@ -7,7 +7,8 @@
 // backpressure into a refusal instead of a stuck sender; and a torn WAL
 // group commit (wal.group_commit_torn) must ack NOTHING in the crashed
 // group — the durable prefix dedups on replay, the unacked suffix is
-// re-published.
+// re-published; and shard->hub sends refused at random are repaired
+// from the stores.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -468,6 +469,64 @@ INSTANTIATE_TEST_SUITE_P(
                       transport::TransportKind::kTcp),
     carrier_name);
 
+/// Refused shard->hub sends repaired from the stores, on every carrier.
+class GapRepairChaosTest : public TransportChaosTest {};
+
+TEST_P(GapRepairChaosTest, RefusedSendsAndAShardCrashAreExactlyOnce) {
+  // A quarter of all sends are refused, with no limit on fires: the
+  // collector->shard refusals rewind the collectors, and the shard->hub
+  // refusals leave holes in the shards' dense ids that the hub repairs
+  // by demoting the consumer to page them from the stores. One shard
+  // crashes mid-stream on top. Zero lost and zero duplicated, in the
+  // stores and at the consumer.
+  std::uint64_t seed = 3;
+  if (const char* env = std::getenv("FSMON_CHAOS_SEED")) seed = std::strtoull(env, nullptr, 10);
+  LustreFsOptions fs_options;
+  fs_options.mdt_count = 4;
+  LustreFs fs(fs_options, clock_);
+  auto transport = make_transport();
+  obs::MetricsRegistry registry;
+  ScalableMonitorOptions o = options(transport.get());
+  o.aggregator.metrics = &registry;
+  ScalableMonitor monitor(fs, o, clock_);
+  std::mutex mu;
+  KeyCounts delivered;
+  auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++delivered[key_of(e)];
+  });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
+
+  chaos::FaultPlan plan;
+  plan.seed = seed;
+  chaos::FaultRule rule;
+  rule.point = "transport.before_send";
+  rule.action = chaos::FaultAction::kDrop;
+  rule.probability = 0.25;
+  rule.max_fires = 0;
+  plan.rules.push_back(rule);
+  chaos::FaultInjector::instance().arm(std::move(plan));
+
+  ChaosWorkload workload(fs, seed * 1000 + 41);
+  run_with_babysitter(monitor, workload, 80);
+  monitor.crash_aggregator_shard(seed % 4);
+  run_with_babysitter(monitor, workload, 80);
+  EXPECT_GT(chaos::FaultInjector::instance().fires("transport.before_send"), 0u);
+
+  VERIFY_PIPELINE(monitor, fs, delivered, mu);
+  EXPECT_GT(registry.counter("flow.gaps").value(), 0u);
+  consumer->stop();
+  monitor.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, GapRepairChaosTest,
+    ::testing::Values(transport::TransportKind::kInProc,
+                      transport::TransportKind::kShm,
+                      transport::TransportKind::kTcp),
+    carrier_name);
+
 /// Consumer restart mid-stream on in-proc and shm; TCP runs the same
 /// body as TcpChaosTest below.
 class ConsumerRestartChaosTest : public TransportChaosTest {};
@@ -582,9 +641,6 @@ TEST_F(GroupCommitChaosTest, TornGroupCommitAcksNothingAndReplayRecovers) {
   eventstore::EventStoreOptions store;
   store.directory = dir_;
   options.store = store;
-  // A wide straggler window so the three batches sent below coalesce
-  // into one commit group before the torn fault evaluates.
-  options.wal_group_commit_us = std::chrono::milliseconds(200);
   Aggregator aggregator("aggregator", options, clock_);
 
   std::mutex mu;
@@ -610,7 +666,8 @@ TEST_F(GroupCommitChaosTest, TornGroupCommitAcksNothingAndReplayRecovers) {
   plan.rules.push_back(rule);
   chaos::FaultInjector::instance().arm(std::move(plan));
 
-  ASSERT_TRUE(aggregator.start().is_ok());
+  // Queued before start(): the loop's first group takes all three
+  // batches the inbox holds, so they commit as one group.
   auto sender = aggregator.transport().make_sender("collector");
   sender->connect(aggregator.input());
   const std::string source = "lustre:MDT0";
@@ -620,6 +677,7 @@ TEST_F(GroupCommitChaosTest, TornGroupCommitAcksNothingAndReplayRecovers) {
         transport::FrameRef::adopt(make_frame(source, 1 + 2 * i, 2)));
     ASSERT_EQ(result.accepted, 1u) << "frame " << i;
   }
+  ASSERT_TRUE(aggregator.start().is_ok());
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!aggregator.crashed() && std::chrono::steady_clock::now() < deadline) {

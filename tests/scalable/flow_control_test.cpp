@@ -74,6 +74,83 @@ class FlowControlTest : public ::testing::Test {
     return true;
   }
 
+  /// Stepped pipeline (one MDT, one shard, nothing started but the
+  /// consumer) whose aggregator->hub send of the second frame is refused.
+  /// Each drain sends twice, collector->shard then shard->hub, so the
+  /// refused send is the fourth evaluation of transport.before_send.
+  void run_refused_publish(bool with_store, bool trailing_frame) {
+    LustreFs fs(LustreFsOptions{}, clock);
+    obs::MetricsRegistry registry;
+    ScalableMonitorOptions o = options(with_store);
+    o.aggregator.metrics = &registry;
+    ScalableMonitor monitor(fs, o, clock);
+    std::mutex mu;
+    std::vector<StdEvent> received;
+    auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
+      std::lock_guard lock(mu);
+      received.push_back(e);
+    });
+    ASSERT_TRUE(consumer->start().is_ok());
+    auto count = [&] {
+      std::lock_guard lock(mu);
+      return received.size();
+    };
+
+    chaos::FaultPlan plan;
+    chaos::FaultRule refuse;
+    refuse.point = "transport.before_send";
+    refuse.action = chaos::FaultAction::kDrop;
+    refuse.after_hits = 3;
+    plan.rules.push_back(refuse);
+    chaos::ScopedFaultPlan faults(std::move(plan));
+
+    ASSERT_TRUE(fs.create("/a").is_ok());
+    monitor.drain_collectors_once();
+    ASSERT_TRUE(wait_until([&] { return count() >= 1; }));
+    ASSERT_TRUE(fs.create("/b").is_ok());
+    monitor.drain_collectors_once();
+    ASSERT_EQ(chaos::FaultInjector::instance().fires("transport.before_send"), 1u);
+    std::size_t expected = 2;
+    if (trailing_frame) {
+      ASSERT_TRUE(fs.create("/c").is_ok());
+      monitor.drain_collectors_once();
+      expected = 3;
+    }
+    EXPECT_EQ(fs.mds(0).mdt().changelog().retained(), 0u);
+
+    if (!with_store) {
+      // Nothing to repair from: the refused event is lost and counted.
+      ASSERT_TRUE(wait_until([&] {
+        return registry.counter("flow.gaps").value() >= 1 && count() >= expected - 1;
+      }));
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      consumer->stop();
+      EXPECT_EQ(registry.counter("flow.gaps").value(), 1u);
+      std::lock_guard lock(mu);
+      ASSERT_EQ(received.size(), expected - 1);
+      EXPECT_EQ(received[0].path, "/a");
+      if (trailing_frame) EXPECT_EQ(received[1].path, "/c");
+      return;
+    }
+
+    // The hub finds the hole (the next frame's first id, or the shard's
+    // published id on two idle ticks), demotes the consumer, and the
+    // consumer pages the refused event from the store.
+    ASSERT_TRUE(wait_until([&] {
+      return count() >= expected && consumer->flow_state() == FlowState::kLive;
+    })) << "received " << count() << ", " << to_string(consumer->flow_state());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    consumer->stop();
+    EXPECT_EQ(registry.counter("flow.gaps").value(), 1u);
+    EXPECT_GE(registry.counter("flow.demotions").value(), 1u);
+    std::lock_guard lock(mu);
+    ASSERT_EQ(received.size(), expected);
+    for (std::size_t i = 0; i < expected; ++i) {
+      EXPECT_EQ(received[i].id, i + 1);
+      EXPECT_EQ(received[i].cookie, i + 1);
+    }
+  }
+
   std::filesystem::path dir_;
   common::RealClock clock;
 };
@@ -459,18 +536,21 @@ TEST_F(FlowControlTest, StorelessStalledConsumerBackPressuresThePump) {
   EXPECT_EQ(stalled->flow_state(), FlowState::kLive);
 }
 
-TEST_F(FlowControlTest, AckThatOutrunsPersistenceIsReforwarded) {
-  // The aggregator fans a frame out before persisting it, so a consumer
-  // can acknowledge ids the store has not appended yet. The store takes
-  // such an ack only up to what it holds; the hub re-sends the rest on
-  // its forwarding tick, so retention is released with no further ack.
+TEST_F(FlowControlTest, DeliveryWaitsForPersistenceThenPurgeReclaims) {
+  // A shard commits a frame before it publishes it: with the commit held
+  // back, nothing is delivered, and every event delivered is already in
+  // the store. The consumer's acks therefore never outrun the store, and
+  // a purge reclaims everything it acknowledged.
   LustreFs fs(LustreFsOptions{}, clock);
   ScalableMonitor monitor(fs, options(), clock);
   ConsumerOptions consumer_options;
   consumer_options.ack_interval = 1;
-  std::atomic<int> count{0};
-  auto consumer = monitor.make_consumer("c", consumer_options,
-                                        [&](const StdEvent&) { count.fetch_add(1); });
+  std::mutex mu;
+  std::vector<std::pair<common::EventId, std::uint64_t>> deliveries;  // (id, persisted)
+  auto consumer = monitor.make_consumer("c", consumer_options, [&](const StdEvent& event) {
+    std::lock_guard lock(mu);
+    deliveries.emplace_back(event.id, monitor.sharded().persisted());
+  });
   chaos::FaultPlan plan;
   chaos::FaultRule hold_persist;
   hold_persist.point = "aggregator.before_persist";
@@ -484,9 +564,21 @@ TEST_F(FlowControlTest, AckThatOutrunsPersistenceIsReforwarded) {
     ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
   ASSERT_TRUE(monitor.start().is_ok());
   ASSERT_TRUE(consumer->start().is_ok());
-  ASSERT_TRUE(wait_until([&] { return count.load() >= kFiles; }));
-  // Delivered and acknowledged while the persist is held back.
-  EXPECT_EQ(monitor.sharded().persisted(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  {
+    std::lock_guard lock(mu);
+    EXPECT_TRUE(deliveries.empty()) << "delivered while the commit was held back";
+  }
+  ASSERT_TRUE(wait_until([&] {
+    std::lock_guard lock(mu);
+    return deliveries.size() >= static_cast<std::size_t>(kFiles);
+  }));
+  {
+    // One shard, dense ids: id N is durable once N events are persisted.
+    std::lock_guard lock(mu);
+    for (const auto& [id, persisted] : deliveries)
+      EXPECT_GE(persisted, id) << "event " << id << " delivered before it was persisted";
+  }
 
   std::size_t purged = 0;
   EXPECT_TRUE(wait_until([&] {
@@ -497,13 +589,26 @@ TEST_F(FlowControlTest, AckThatOutrunsPersistenceIsReforwarded) {
   monitor.stop();
 }
 
+TEST_F(FlowControlTest, RefusedMiddleFrameIsRepairedFromTheStore) {
+  run_refused_publish(/*with_store=*/true, /*trailing_frame=*/true);
+}
+
+TEST_F(FlowControlTest, RefusedLastFrameIsRepairedWithoutLaterTraffic) {
+  run_refused_publish(/*with_store=*/true, /*trailing_frame=*/false);
+}
+
+TEST_F(FlowControlTest, StorelessRefusedFrameIsCountedAsAGap) {
+  run_refused_publish(/*with_store=*/false, /*trailing_frame=*/true);
+}
+
 TEST_F(FlowControlTest, QueuedFramesDoNotPinShmRingRecords) {
   // A subscription's queue holds frames for up to a credit window. Over
   // shm the hub copies each frame out of its ring record, so a consumer
   // that never drains cannot fill the ring and stall the shard sender
-  // for its siblings. Upstream, the persist thread must likewise release
-  // a committed group before it waits for the next one, or a group that
-  // took the whole inbox ring wedges the collector refilling it.
+  // for its siblings. Upstream, the shard's custody loop must likewise
+  // release a committed group before it waits for the next one, or a
+  // group that took the whole inbox ring wedges the collector refilling
+  // it.
   transport::ShmTransportOptions shm_options;
   shm_options.ring_bytes = 1 << 14;
   transport::ShmTransport shm(shm_options);  // outlives the monitor

@@ -195,7 +195,7 @@ TEST_F(PipelineTest, AggregatorPersistsForReplay) {
 TEST_F(PipelineTest, ExactlyOneSerializationPerEventEndToEnd) {
   // The batched path's core invariant: the collector serializes each
   // event once; the aggregator patches ids into the encoded bytes and
-  // the persister reuses them, so no further serialize_event calls
+  // the store append reuses them, so no further serialize_event calls
   // happen anywhere in the pipeline. (Each gtest case runs as its own
   // ctest process, so the process-wide codec counters are isolated.)
   LustreFs fs(LustreFsOptions{}, clock);

@@ -320,6 +320,39 @@ TEST_F(ShardMergeTest, MergedViewIsPermutationFreeAndMatchesSingleShardRun) {
   EXPECT_EQ(sharded_multiset, single_multiset);
 }
 
+TEST_F(ShardMergeTest, MultiPageReplayDecodesOnlyReturnedEvents) {
+  // The merge reads timestamps, sources and cookies in place: each page
+  // decodes exactly the events it returns, not the shard heads it leaves
+  // behind for the next page.
+  common::ManualClock clock;
+  LustreFsOptions fs_options;
+  fs_options.mdt_count = 4;
+  LustreFs fs(fs_options, clock);
+  ScalableMonitorOptions options;
+  options.shards = 4;
+  eventstore::EventStoreOptions store;
+  store.directory = dir_;
+  options.aggregator.store = store;
+  ScalableMonitor monitor(fs, options, clock);
+  run_workload(fs, monitor, clock);
+
+  VectorCursor cursor;
+  std::size_t pages = 0;
+  std::size_t total = 0;
+  for (;;) {
+    const auto before = core::codec_counters().deserialize_calls;
+    auto page = monitor.sharded().events_since(cursor, 50);
+    const auto decoded = core::codec_counters().deserialize_calls - before;
+    ASSERT_TRUE(page.is_ok()) << page.status().to_string();
+    if (page.value().empty()) break;
+    EXPECT_EQ(decoded, page.value().size()) << "page " << pages;
+    total += page.value().size();
+    ++pages;
+  }
+  EXPECT_GT(pages, 3u);
+  EXPECT_EQ(total, monitor.sharded().last_event_id_sum());
+}
+
 // Regression (sharding review): the merged replay pages all shard stores
 // BEFORE taking the consumer's delivery mutex. The inverted order would
 // deadlock when a replay page blocks behind a slow consumer callback

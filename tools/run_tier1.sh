@@ -4,13 +4,14 @@
 # must emit a metrics snapshot with a nonzero publish count.
 #
 # --tsan: additionally build a ThreadSanitizer configuration in
-# build-tsan and run the concurrency-heavy suites (message queue,
-# threaded pipeline, transport layer) plus the ctest `concurrency` label
-# (resolver pool, reorder buffer, single-flight, sharded cache) under it.
+# build-tsan and run the concurrency-heavy suites (transport layer,
+# threaded pipeline, fan-out hub, and the gap-repair chaos suite) plus
+# the ctest `concurrency` label (resolver pool, reorder buffer,
+# single-flight, sharded cache) under it.
 #
 # --asan: additionally build an AddressSanitizer configuration in
-# build-asan and run the transport suites and the `concurrency` label
-# under it.
+# build-asan and run the transport, fan-out and gap-repair chaos suites
+# and the `concurrency` label under it.
 #
 # Both sanitizer passes also run the namespace-index suite (ctest label
 # `nsindex`): the applier is queried from application threads while the
@@ -54,6 +55,11 @@ if $expect_seeds || ! [[ "$chaos_seeds" =~ ^[0-9]+$ ]]; then
   echo "usage: $0 [--tsan] [--asan] [--scenarios] [--chaos N]" >&2
   exit 2
 fi
+
+# The chaos suite both sanitizer passes run once: refused shard->hub
+# sends repaired from the stores race the hub's pump, tick and the
+# consumers' catch-up across threads on every carrier.
+chaos_filter="*GapRepairChaosTest.*"
 
 # Sweep the `chaos` ctest label across deterministic fault-schedule
 # seeds in the given build directory.
@@ -116,6 +122,7 @@ if $run_tsan; then
   tsan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
   tsan_filter+=":ConsumerDeliveryTest.*:ConsumerReplayTest.*"
   ./build-tsan/tests/fsmon_tests --gtest_filter="$tsan_filter"
+  ./build-tsan/tests/fsmon_chaos_tests --gtest_filter="$chaos_filter"
   (cd build-tsan && ctest -L concurrency --output-on-failure)
   (cd build-tsan && ctest -L nsindex --output-on-failure)
   if (( chaos_seeds > 0 )); then chaos_sweep build-tsan; fi
@@ -135,6 +142,7 @@ if $run_asan; then
   asan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
   asan_filter+=":PipelineTest.*:ConsumerDeliveryTest.*:ConsumerReplayTest.*"
   ./build-asan/tests/fsmon_tests --gtest_filter="$asan_filter"
+  ./build-asan/tests/fsmon_chaos_tests --gtest_filter="$chaos_filter"
   (cd build-asan && ctest -L concurrency --output-on-failure)
   (cd build-asan && ctest -L nsindex --output-on-failure)
   if (( chaos_seeds > 0 )); then chaos_sweep build-asan; fi
